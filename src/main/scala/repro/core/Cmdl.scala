@@ -141,16 +141,20 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
   // ------------------------------------------------------------------
 
   final case class Joint(model: Mlp, epochs: Int, lossHistory: Vector[Double],
-      docEmb: Map[String, Array[Float]], colEmb: Map[String, Array[Float]])
+      docEmb: Map[String, Array[Float]], colEmb: Map[String, Array[Float]], stats: TripletTraining.Stats)
 
   /** Trains the triplet model on the weak labels and applies it to all DEs. */
   def trainJoint(labels: WeakLabels, cfg: TripletTraining.Config = TripletTraining.Config()): Joint = {
+    require(docProfiles.nonEmpty && lfs.textCols.nonEmpty,
+      s"joint training needs documents and text-searchable columns; the lake has " +
+        s"${docProfiles.size} documents and ${lfs.textCols.size} text columns")
     val rel = labels.rel(this) _
     val docDes = docProfiles.map(d => TripletTraining.De(d.id, TripletTraining.encode(d.metaEmb, d.contentEmb)))
     val colDes = lfs.textCols.map(c => TripletTraining.De(c.ref, TripletTraining.encode(c.metaEmb, c.contentEmb)))
     val result = TripletTraining.train(docDes, colDes, rel, cfg)
     Joint(result.model, result.epochs, result.lossHistory,
       docEmb = TripletTraining.applyModel(result.model, docDes),
-      colEmb = TripletTraining.applyModel(result.model, colDes))
+      colEmb = TripletTraining.applyModel(result.model, colDes),
+      stats = result.stats)
   }
 }

@@ -10,6 +10,12 @@ import scala.util.Random
   * tanh hidden layer, linear output, SGD over triplet gradients. Squared
   * Euclidean distance is used inside the loss (the gradients are then
   * linear in the embedding differences).
+  *
+  * Training is sequential per-triplet SGD: every `tripletStep` with a
+  * positive loss writes the weights at once. `version` counts those writes,
+  * so a caller may reuse an embedding for as long as the version it was
+  * computed at is current. `embedAll` is the batched forward pass; it gives
+  * the same bits as `embed` on every sample.
   */
 final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int = 100, seed: Long = 5L) {
 
@@ -22,6 +28,11 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
   val b1: Array[Double] = new Array[Double](hiddenDim)
   val w2: Array[Array[Double]] = init(outDim, hiddenDim)
   val b2: Array[Double] = new Array[Double](outDim)
+
+  private var writes = 0L
+
+  /** Number of weight writes (one per backprop pass) so far; unchanged while the weights are. */
+  def version: Long = writes
 
   /** Forward pass: hidden activations and output embedding. */
   def forward(x: Array[Double]): (Array[Double], Array[Double]) = {
@@ -47,6 +58,70 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
   }
 
   def embed(x: Array[Double]): Array[Double] = forward(x)._2
+
+  /** `embed` of every sample, with one pass over each weight row for the
+    * whole batch. Samples sit in lanes (the inputs are transposed), and each
+    * lane is summed in the same order as in `forward`, so every output equals
+    * `embed` bit for bit.
+    */
+  def embedAll(xs: IndexedSeq[Array[Double]]): Array[Array[Double]] = {
+    val n = xs.size
+    val xt = Array.ofDim[Double](inDim, n)
+    var s = 0
+    while (s < n) {
+      val x = xs(s); var j = 0
+      while (j < inDim) { xt(j)(s) = x(j); j += 1 }
+      s += 1
+    }
+    val ht = Array.ofDim[Double](hiddenDim, n)
+    var i = 0
+    while (i < hiddenDim) {
+      val z = ht(i)
+      java.util.Arrays.fill(z, b1(i))
+      accumulate(z, w1(i), xt, n)
+      s = 0
+      while (s < n) { z(s) = math.tanh(z(s)); s += 1 }
+      i += 1
+    }
+    val out = Array.ofDim[Double](n, outDim)
+    val z = new Array[Double](n)
+    i = 0
+    while (i < outDim) {
+      java.util.Arrays.fill(z, b2(i))
+      accumulate(z, w2(i), ht, n)
+      s = 0
+      while (s < n) { out(s)(i) = z(s); s += 1 }
+      i += 1
+    }
+    out
+  }
+
+  /** z(s) += row(j) * xt(j)(s) for every lane s, j ascending. Four j per
+    * sweep keep each lane's sum in a register; the order of its adds is
+    * unchanged.
+    */
+  private def accumulate(z: Array[Double], row: Array[Double], xt: Array[Array[Double]], n: Int): Unit = {
+    val m = row.length
+    var j = 0
+    while (j + 4 <= m) {
+      val r0 = row(j); val r1 = row(j + 1); val r2 = row(j + 2); val r3 = row(j + 3)
+      val x0 = xt(j); val x1 = xt(j + 1); val x2 = xt(j + 2); val x3 = xt(j + 3)
+      var s = 0
+      while (s < n) {
+        var t = z(s)
+        t += r0 * x0(s); t += r1 * x1(s); t += r2 * x2(s); t += r3 * x3(s)
+        z(s) = t
+        s += 1
+      }
+      j += 4
+    }
+    while (j < m) {
+      val w = row(j); val x = xt(j)
+      var s = 0
+      while (s < n) { z(s) += w * x(s); s += 1 }
+      j += 1
+    }
+  }
 
   /** Squared Euclidean distance between two embeddings. */
   def dist2(a: Array[Double], b: Array[Double]): Double = {
@@ -90,6 +165,7 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
 
   /** Backprop one sample's output-gradient through both layers (SGD update). */
   private def backprop(x: Array[Double], h: Array[Double], gOut: Array[Double], lr: Double): Unit = {
+    writes += 1
     // grad wrt hidden, plus W2/b2 update
     val gh = new Array[Double](hiddenDim)
     var i = 0

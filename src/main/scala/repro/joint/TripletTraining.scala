@@ -7,22 +7,29 @@ import scala.util.Random
   *
   * Mini-Batch Generator: each epoch partitions the document and column DEs
   * into non-overlapping mini-batches whose m:n ratio matches the global
-  * document:column ratio; the union of batches covers the training set.
+  * document:column ratio; every DE lands in exactly one batch pair.
   *
   * Triplet Generator with hard sampling: within a batch, a document anchor's
   * positives (relatedness ≥ threshold) are aggregated into a single mean
   * instance, and only the *hard* negatives — those whose current joint-space
-  * distance to the anchor is within the cutoff (average or median negative
-  * distance) — are aggregated into the negative instance, yielding exactly
-  * one triplet per anchor. `HardStrategy.None` generates all quadratic
-  * positive×negative combinations instead (the ablation of Fig. 10b).
+  * distance to the anchor is at most the mean negative distance — are
+  * aggregated into the negative instance, yielding exactly one triplet per
+  * anchor. `HardStrategy.None` generates all quadratic positive×negative
+  * combinations instead (the ablation of Fig. 10b).
+  *
+  * Training is sequential per-triplet SGD: each triplet's step updates the
+  * weights before the next anchor is sampled. A training run evaluates the
+  * weak label of each (doc, column) pair at most once, and reuses a column's
+  * embedding until a step changes the weights (`Mlp.version`); neither
+  * changes a single bit of the result. The paper's PyTorch semantics, one
+  * accumulated gradient per batch, would change the numerics and is not
+  * implemented (ROADMAP item 3b).
   */
 object TripletTraining {
 
   sealed trait HardStrategy
   object HardStrategy {
     case object Avg extends HardStrategy
-    case object Median extends HardStrategy
     case object None extends HardStrategy
   }
 
@@ -40,7 +47,16 @@ object TripletTraining {
       seed: Long = 23L,
   )
 
-  final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long)
+  /** Where a training run spent its time: weak-label evaluations (each one
+    * fills the per-run memo), forward passes for hard sampling, SGD steps.
+    */
+  final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardNs: Long,
+      steps: Long, stepNs: Long)
+
+  final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long,
+      stats: Stats)
+
+  type Triplet = (Array[Double], Array[Double], Array[Double])
 
   /** Concatenate metadata and content solo embeddings into the 200-d input. */
   def encode(metaEmb: Array[Float], contentEmb: Array[Float]): Array[Double] = {
@@ -59,24 +75,37 @@ object TripletTraining {
       batchCols: Seq[De],
       rel: (String, String) => Double,
       cfg: Config,
-  ): Seq[(Array[Double], Array[Double], Array[Double])] = {
-    val (pos, neg) = batchCols.partition(c => rel(anchor.id, c.id) >= cfg.posThreshold)
+  ): Seq[Triplet] = {
+    val cols = batchCols.toIndexedSeq
+    val memo = new PosMemo(IndexedSeq(anchor), cols, rel, cfg.posThreshold)
+    anchorTriplets(0, Array.range(0, cols.size), memo, new EmbedCache(model, cols), cfg, new Clock)
+  }
+
+  /** The triplet generator shared by `tripletsFor` and `train`: the triplets
+    * of doc `d` against the columns `batch` (indices into the memo's columns).
+    */
+  private def anchorTriplets(d: Int, batch: Array[Int], memo: PosMemo, cache: EmbedCache,
+      cfg: Config, clock: Clock): Seq[Triplet] = {
+    val t0 = System.nanoTime()
+    val (pos, neg) = batch.partition(memo.isPos(d, _))
+    clock.relNs += System.nanoTime() - t0
     if (pos.isEmpty || neg.isEmpty) return Seq.empty // anchors without both are ignored
+    val anchor = memo.docs(d).enc
+    def enc(c: Int) = memo.cols(c).enc
     cfg.hardStrategy match {
       case HardStrategy.None =>
-        for (p <- pos; nn <- neg) yield (anchor.enc, p.enc, nn.enc)
-      case strat =>
-        val aEmb = model.embed(anchor.enc)
-        val negDists = neg.map(nn => (nn, model.dist2(aEmb, model.embed(nn.enc))))
-        val cutoff = strat match {
-          case HardStrategy.Median =>
-            val ds = negDists.map(_._2).sorted
-            ds(ds.size / 2)
-          case _ => negDists.map(_._2).sum / negDists.size
-        }
-        val hard = negDists.filter(_._2 <= cutoff).map(_._1)
+        for (p <- pos.toSeq; nn <- neg.toSeq) yield (anchor, enc(p), enc(nn))
+      case HardStrategy.Avg =>
+        val t1 = System.nanoTime()
+        val (aEmb, negEmb) = cache.embed(anchor, neg)
+        clock.forwardNs += System.nanoTime() - t1
+        val dists = negEmb.map(cache.model.dist2(aEmb, _))
+        var sum = 0.0
+        dists.foreach(sum += _)
+        val cutoff = sum / dists.length
+        val hard = neg.indices.filter(dists(_) <= cutoff).map(i => enc(neg(i)))
         if (hard.isEmpty) Seq.empty
-        else Seq((anchor.enc, mean(pos.map(_.enc)), mean(hard.map(_.enc))))
+        else Seq((anchor, mean(pos.toSeq.map(enc)), mean(hard)))
     }
   }
 
@@ -85,8 +114,15 @@ object TripletTraining {
     */
   def train(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double,
       cfg: Config = Config()): Result = {
-    val model = new Mlp(seed = cfg.seed)
     require(docs.nonEmpty && cols.nonEmpty, "need DEs of both modalities")
+    require(cfg.batchFrac > 0 && cfg.batchFrac <= 1, s"batchFrac must be in (0, 1], got ${cfg.batchFrac}")
+    require(cfg.lr > 0, s"lr must be positive, got ${cfg.lr}")
+    require(cfg.margin >= 0, s"margin must be non-negative, got ${cfg.margin}")
+    require(cfg.maxEpochs >= 0, s"maxEpochs must be non-negative, got ${cfg.maxEpochs}")
+    val model = new Mlp(seed = cfg.seed)
+    val memo = new PosMemo(docs.toIndexedSeq, cols.toIndexedSeq, rel, cfg.posThreshold)
+    val cache = new EmbedCache(model, memo.cols)
+    val clock = new Clock
     val nBatches = math.max(1, math.ceil(1.0 / cfg.batchFrac).toInt)
     val rnd = new Random(cfg.seed)
     val losses = mutable.ArrayBuffer.empty[Double]
@@ -94,13 +130,13 @@ object TripletTraining {
     var epoch = 0
     var converged = false
     while (epoch < cfg.maxEpochs && !converged) {
-      val docBatches = partition(rnd.shuffle(docs.toVector), nBatches)
-      val colBatches = partition(rnd.shuffle(cols.toVector), nBatches)
       var epochLoss = 0.0
       var count = 0
-      for ((db, cb) <- docBatches.zip(colBatches); d <- db) {
-        for ((a, p, nn) <- tripletsFor(model, d, cb, rel, cfg)) {
+      for ((db, cb) <- miniBatches(docs.size, cols.size, nBatches, rnd); d <- db) {
+        for ((a, p, nn) <- anchorTriplets(d, cb, memo, cache, cfg, clock)) {
+          val t0 = System.nanoTime()
           epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
+          clock.stepNs += System.nanoTime() - t0
           count += 1
           triplets += 1
         }
@@ -111,17 +147,76 @@ object TripletTraining {
         converged = true
       epoch += 1
     }
-    Result(model, epoch, losses.toVector, triplets)
+    val stats = Stats(memo.calls, clock.relNs, cache.passes, clock.forwardNs, triplets, clock.stepNs)
+    Result(model, epoch, losses.toVector, triplets, stats)
   }
 
   /** Apply a trained model to DEs, producing their joint embeddings. */
-  def applyModel(model: Mlp, des: Seq[De]): Map[String, Array[Float]] =
-    des.map(d => d.id -> model.embed(d.enc).map(_.toFloat)).toMap
-
-  private def partition(v: Vector[De], nBatches: Int): Vector[Vector[De]] = {
-    val per = math.max(1, math.ceil(v.size.toDouble / nBatches).toInt)
-    v.grouped(per).toVector
+  def applyModel(model: Mlp, des: Seq[De]): Map[String, Array[Float]] = {
+    val embs = model.embedAll(des.map(_.enc).toIndexedSeq)
+    des.iterator.zip(embs.iterator).map { case (d, e) => d.id -> e.map(_.toFloat) }.toMap
   }
+
+  /** One epoch's mini-batch pairs over doc and column indices. Both sides are
+    * shuffled and cut into `nBatches` groups of ceil(n / nBatches); when the
+    * two sides then yield different group counts, both are split evenly into
+    * the smaller count instead, so that no DE sits an epoch out.
+    */
+  private[joint] def miniBatches(nDocs: Int, nCols: Int, nBatches: Int,
+      rnd: Random): Vector[(Array[Int], Array[Int])] = {
+    val ds = rnd.shuffle(Vector.range(0, nDocs))
+    val cs = rnd.shuffle(Vector.range(0, nCols))
+    def grouped(v: Vector[Int]) = v.grouped(math.max(1, math.ceil(v.size.toDouble / nBatches).toInt)).toVector
+    def even(v: Vector[Int], k: Int) =
+      Vector.tabulate(k)(i => v.slice((i.toLong * v.size / k).toInt, ((i + 1L) * v.size / k).toInt))
+    val (db, cb) = (grouped(ds), grouped(cs))
+    val pairs =
+      if (db.size == cb.size) db.zip(cb)
+      else { val k = math.min(db.size, cb.size); even(ds, k).zip(even(cs, k)) }
+    pairs.map { case (d, c) => (d.toArray, c.toArray) }
+  }
+
+  /** The weak-label test rel(doc, col) ≥ threshold for one training run,
+    * evaluated at most once per (doc, col) index pair. A doc's row is
+    * allocated when the doc is first anchored.
+    */
+  private final class PosMemo(val docs: IndexedSeq[De], val cols: IndexedSeq[De],
+      rel: (String, String) => Double, threshold: Double) {
+    private val rows = new Array[Array[Byte]](docs.size) // 0 unknown, 1 positive, 2 negative
+    var calls = 0L
+
+    def isPos(d: Int, c: Int): Boolean = {
+      if (rows(d) == null) rows(d) = new Array[Byte](cols.size)
+      val row = rows(d)
+      if (row(c) == 0) {
+        row(c) = if (rel(docs(d).id, cols(c).id) >= threshold) 1 else 2
+        calls += 1
+      }
+      row(c) == 1
+    }
+  }
+
+  /** Column embeddings stamped with the model version they were computed at. */
+  private[joint] final class EmbedCache(val model: Mlp, cols: IndexedSeq[De]) {
+    private val emb = new Array[Array[Double]](cols.size)
+    private val at = Array.fill(cols.size)(-1L)
+    /** Forward passes run so far. */
+    var passes = 0L
+
+    /** The current embeddings of `anchor` and of the columns `idx`; only
+      * columns embedded under older weights are recomputed.
+      */
+    def embed(anchor: Array[Double], idx: Array[Int]): (Array[Double], Array[Array[Double]]) = {
+      val v = model.version
+      val stale = idx.filter(at(_) != v)
+      val out = model.embedAll(anchor +: stale.toIndexedSeq.map(cols(_).enc))
+      passes += out.length
+      for (k <- stale.indices) { emb(stale(k)) = out(k + 1); at(stale(k)) = v }
+      (out(0), idx.map(emb))
+    }
+  }
+
+  private final class Clock { var relNs, forwardNs, stepNs = 0L }
 
   private def mean(xs: Seq[Array[Double]]): Array[Double] = {
     val out = new Array[Double](xs.head.length)

@@ -1,9 +1,13 @@
 package repro.joint
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import scala.util.Random
 
+import repro.{SparkSpec, TestFixtures}
 import repro.embed.WordVectors
+import repro.lake.LakeGen
 
 class MlpSpec extends AnyFunSuite {
 
@@ -59,29 +63,40 @@ class MlpSpec extends AnyFunSuite {
       assert(m.w1.zip(w).forall { case (r1, r2) => r1.sameElements(r2) })
     }
   }
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  test("embedAll equals embed bit for bit") {
+    val prop = Prop.forAll(Gen.choose(0, 9), Gen.choose(1, 13), Gen.choose(1, 13), Gen.choose(1, 13),
+        Gen.choose(0L, 1000L)) { (n, in, hidden, out, seed) =>
+      val m = new Mlp(in, hidden, out, seed)
+      val rnd = new Random(seed)
+      val xs = IndexedSeq.fill(n)(Array.fill(in)(rnd.nextGaussian()))
+      val all = m.embedAll(xs)
+      all.length == n && xs.indices.forall(i => bits(all(i)) == bits(m.embed(xs(i))))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res)
+  }
+
+  test("version changes exactly when a step writes the weights") {
+    val m = new Mlp(4, 4, 2, seed = 3)
+    val a = Array(1.0, 1.0, 0.0, 0.0)
+    val v0 = m.version
+    assert(m.tripletStep(a, a, Array(-9.0, 9.0, -9.0, 9.0), margin = 0.0, lr = 0.05) === 0.0)
+    assert(m.version === v0)
+    assert(m.tripletStep(a, a.map(_ + 1), a, margin = 0.2, lr = 0.05) > 0.0)
+    assert(m.version > v0)
+  }
 }
 
 class TripletTrainingSpec extends AnyFunSuite {
   import TripletTraining._
+  import TripletTrainingSpec.{counting, world}
 
   test("encode concatenates metadata and content embeddings") {
     val m = Array.fill(3)(1f); val c = Array.fill(2)(2f)
     assert(encode(m, c).toSeq === Seq(1.0, 1.0, 1.0, 2.0, 2.0))
-  }
-
-  /** Tiny two-topic world: docs/cols of topic A are related, topic B not. */
-  private def world(seed: Int) = {
-    def de(id: String, word: String) = {
-      val emb = WordVectors.wordVector(word)
-      De(id, encode(emb, emb))
-    }
-    val docs = (1 to 8).map(i => de(s"docA$i", s"topicalpha$i")) ++
-      (1 to 8).map(i => de(s"docB$i", s"topicbeta$i"))
-    val cols = (1 to 8).map(i => de(s"colA$i", s"topicalpha${i + 20}")) ++
-      (1 to 8).map(i => de(s"colB$i", s"topicbeta${i + 20}"))
-    val rel = (d: String, c: String) =>
-      if (d.startsWith("docA") == c.startsWith("colA")) 0.9 else 0.1
-    (docs, cols, rel)
   }
 
   test("training converges and loss decreases") {
@@ -134,16 +149,245 @@ class TripletTrainingSpec extends AnyFunSuite {
     assert(hard.totalTriplets < full.totalTriplets)
   }
 
-  test("median strategy also trains") {
-    val (docs, cols, rel) = world(7)
-    val res = train(docs, cols, rel, Config(maxEpochs = 20, batchFrac = 0.5,
-      hardStrategy = HardStrategy.Median, seed = 5))
-    assert(res.epochs > 0)
-  }
-
   test("training requires both modalities") {
     intercept[IllegalArgumentException] {
       train(Seq.empty, Seq(De("c", Array(1.0))), (_, _) => 0.5)
     }
+  }
+
+  test("train rejects bad configurations with a clear message") {
+    val (docs, cols, rel) = world(8)
+    def reason(cfg: Config) = intercept[IllegalArgumentException](train(docs, cols, rel, cfg)).getMessage
+    assert(reason(Config(batchFrac = 0.0)).contains("batchFrac"))
+    assert(reason(Config(batchFrac = 1.5)).contains("batchFrac"))
+    assert(reason(Config(batchFrac = Double.NaN)).contains("batchFrac"))
+    assert(reason(Config(lr = 0.0)).contains("lr"))
+    assert(reason(Config(margin = -0.1)).contains("margin"))
+    assert(reason(Config(maxEpochs = -1)).contains("maxEpochs"))
+    assert(train(docs, cols, rel, Config(maxEpochs = 0)).epochs === 0)
+  }
+
+  test("every doc and column lands in exactly one batch pair per epoch") {
+    val rnd = new Random(9)
+    for (_ <- 1 to 5) {
+      val pairs = miniBatches(14, 40, 13, rnd) // 14 docs cut by 2 give 7 groups, 40 cols by 4 give 10
+      assert(pairs.flatMap(_._1).sorted === (0 until 14))
+      assert(pairs.flatMap(_._2).sorted === (0 until 40))
+      assert(pairs.forall { case (d, c) => d.nonEmpty && c.nonEmpty })
+    }
+    // the same through train: one epoch sees every DE
+    val docs = (1 to 14).map(i => De(s"d$i", Array.fill(200)(i * 0.01)))
+    val cols = (1 to 40).map(i => De(s"c$i", Array.fill(200)(-i * 0.01)))
+    val (rel, calls) = counting((_, _) => 0.1)
+    train(docs, cols, rel, Config(maxEpochs = 1))
+    val seen = calls.keySet
+    assert(seen.map(_._1) === docs.map(_.id).toSet)
+    assert(seen.map(_._2) === cols.map(_.id).toSet)
+    // each doc met the columns of exactly one batch: the docs' column sets partition the columns
+    val batchCols = seen.groupBy(_._1).values.map(_.map(_._2)).toSet
+    assert(batchCols.toSeq.map(_.size).sum === cols.size)
+  }
+
+  test("batches are cut as before wherever both sides split into the same count") {
+    def seedBatches(n: Int, nBatches: Int, rnd: Random) = {
+      val v = rnd.shuffle(Vector.range(0, n))
+      v.grouped(math.max(1, math.ceil(v.size.toDouble / nBatches).toInt)).toVector
+    }
+    for ((nDocs, nCols) <- Seq((240, 1039), (16, 16), (50, 300))) {
+      val (r1, r2) = (new Random(3), new Random(3))
+      for (_ <- 1 to 3) {
+        val now = miniBatches(nDocs, nCols, 13, r1).map { case (d, c) => (d.toSeq, c.toSeq) }
+        val db = seedBatches(nDocs, 13, r2); val cb = seedBatches(nCols, 13, r2)
+        assert(db.size === cb.size)
+        assert(now === db.zip(cb))
+      }
+    }
+  }
+
+  test("rel is evaluated at most once per (doc, column) pair") {
+    val (docs, cols, rel) = world(9)
+    val (counted, calls) = counting(rel)
+    val res = train(docs, cols, counted, Config(maxEpochs = 30, batchFrac = 0.5, convergenceTol = 0.0))
+    assert(res.epochs === 30)
+    assert(calls.values.forall(_ == 1), calls.filter(_._2 > 1))
+    assert(res.stats.relCalls === calls.size)
+    assert(calls.size <= docs.size * cols.size)
+  }
+
+  test("cached embeddings are recomputed after a weight-changing step and reused after a zero-loss step") {
+    val (docs, cols, _) = world(10)
+    val m = new Mlp(seed = 1)
+    val cache = new EmbedCache(m, cols)
+    val idx = Array(0, 3, 9)
+    def check(e: (Array[Double], Array[Array[Double]])) = {
+      assert(e._1.sameElements(m.embed(docs.head.enc)))
+      idx.indices.foreach(k => assert(e._2(k).sameElements(m.embed(cols(idx(k)).enc))))
+    }
+    check(cache.embed(docs.head.enc, idx))
+    assert(cache.passes === 1 + idx.length)
+    check(cache.embed(docs.head.enc, idx))
+    assert(cache.passes === 2 + idx.length) // only the anchor is recomputed
+    val (a, far) = (docs.head.enc, docs.head.enc.map(_ => 9.0))
+    assert(m.tripletStep(a, a, far, margin = 0.0, lr = 0.02) === 0.0)
+    check(cache.embed(docs.head.enc, idx))
+    assert(cache.passes === 3 + idx.length)
+    assert(m.tripletStep(a, cols(1).enc, a, margin = 0.2, lr = 0.02) > 0.0)
+    check(cache.embed(docs.head.enc, idx))
+    assert(cache.passes === 4 + 2 * idx.length)
+  }
+
+  test("training matches the per-triplet reference loop bit for bit on the toy world") {
+    val (docs, cols, rel) = world(11)
+    for (cfg <- Seq(Config(maxEpochs = 40, batchFrac = 0.5, seed = 2), Config(maxEpochs = 40, batchFrac = 0.25),
+        Config(maxEpochs = 6, batchFrac = 0.5, hardStrategy = HardStrategy.None, seed = 4))) {
+      val res = train(docs, cols, rel, cfg)
+      assert(res.totalTriplets > 0)
+      ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
+    }
+  }
+}
+
+object TripletTrainingSpec {
+  import TripletTraining._
+
+  /** Tiny two-topic world: docs/cols of topic A are related, topic B not. */
+  def world(seed: Int) = {
+    def de(id: String, word: String) = {
+      val emb = WordVectors.wordVector(word)
+      De(id, encode(emb, emb))
+    }
+    val docs = (1 to 8).map(i => de(s"docA$i", s"topicalpha$i")) ++
+      (1 to 8).map(i => de(s"docB$i", s"topicbeta$i"))
+    val cols = (1 to 8).map(i => de(s"colA$i", s"topicalpha${i + 20}")) ++
+      (1 to 8).map(i => de(s"colB$i", s"topicbeta${i + 20}"))
+    val rel = (d: String, c: String) =>
+      if (d.startsWith("docA") == c.startsWith("colA")) 0.9 else 0.1
+    (docs, cols, rel)
+  }
+
+  /** `rel` wrapped to count its calls per (doc, col) pair. */
+  def counting(rel: (String, String) => Double): ((String, String) => Double, mutable.Map[(String, String), Int]) = {
+    val calls = mutable.Map.empty[(String, String), Int].withDefaultValue(0)
+    ((d: String, c: String) => { calls((d, c)) += 1; rel(d, c) }, calls)
+  }
+}
+
+/** The per-triplet training loop as first written: every anchor partitions
+  * its batch through `rel` and re-embeds every negative. It is the reference
+  * the optimised `TripletTraining.train` must match bit for bit, wherever the
+  * doc and column sides split into the same number of batches (where they
+  * do not, this loop drops batches).
+  */
+object ReferenceLoop {
+  import TripletTraining._
+
+  final case class Out(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long)
+
+  private def tripletsFor(model: Mlp, anchor: De, batchCols: Seq[De], rel: (String, String) => Double,
+      cfg: Config): Seq[(Array[Double], Array[Double], Array[Double])] = {
+    val (pos, neg) = batchCols.partition(c => rel(anchor.id, c.id) >= cfg.posThreshold)
+    if (pos.isEmpty || neg.isEmpty) return Seq.empty
+    cfg.hardStrategy match {
+      case HardStrategy.None =>
+        for (p <- pos; nn <- neg) yield (anchor.enc, p.enc, nn.enc)
+      case HardStrategy.Avg =>
+        val aEmb = model.embed(anchor.enc)
+        val negDists = neg.map(nn => (nn, model.dist2(aEmb, model.embed(nn.enc))))
+        val cutoff = negDists.map(_._2).sum / negDists.size
+        val hard = negDists.filter(_._2 <= cutoff).map(_._1)
+        if (hard.isEmpty) Seq.empty
+        else Seq((anchor.enc, mean(pos.map(_.enc)), mean(hard.map(_.enc))))
+    }
+  }
+
+  def train(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double, cfg: Config): Out = {
+    val model = new Mlp(seed = cfg.seed)
+    val nBatches = math.max(1, math.ceil(1.0 / cfg.batchFrac).toInt)
+    val rnd = new Random(cfg.seed)
+    val losses = mutable.ArrayBuffer.empty[Double]
+    var triplets = 0L
+    var epoch = 0
+    var converged = false
+    while (epoch < cfg.maxEpochs && !converged) {
+      val docBatches = partition(rnd.shuffle(docs.toVector), nBatches)
+      val colBatches = partition(rnd.shuffle(cols.toVector), nBatches)
+      var epochLoss = 0.0
+      var count = 0
+      for ((db, cb) <- docBatches.zip(colBatches); d <- db) {
+        for ((a, p, nn) <- tripletsFor(model, d, cb, rel, cfg)) {
+          epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
+          count += 1
+          triplets += 1
+        }
+      }
+      val avgLoss = if (count == 0) 0.0 else epochLoss / count
+      losses += avgLoss
+      if (losses.size > 5 && math.abs(losses(losses.size - 2) - avgLoss) < cfg.convergenceTol)
+        converged = true
+      epoch += 1
+    }
+    Out(model, epoch, losses.toVector, triplets)
+  }
+
+  private def partition(v: Vector[De], nBatches: Int): Vector[Vector[De]] = {
+    val per = math.max(1, math.ceil(v.size.toDouble / nBatches).toInt)
+    v.grouped(per).toVector
+  }
+
+  private def mean(xs: Seq[Array[Double]]): Array[Double] = {
+    val out = new Array[Double](xs.head.length)
+    for (x <- xs) {
+      var i = 0
+      while (i < out.length) { out(i) += x(i); i += 1 }
+    }
+    var i = 0
+    while (i < out.length) { out(i) /= xs.size; i += 1 }
+    out
+  }
+
+  private def bits(xs: Array[Double]): Seq[Long] = xs.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  def assertSame(ref: Out, res: Result): Unit = {
+    import org.scalatest.Assertions._
+    assert(res.epochs === ref.epochs)
+    assert(res.totalTriplets === ref.totalTriplets)
+    assert(res.lossHistory.map(java.lang.Double.doubleToRawLongBits) ===
+      ref.lossHistory.map(java.lang.Double.doubleToRawLongBits))
+    assert(res.model.w1.map(bits).toSeq === ref.model.w1.map(bits).toSeq)
+    assert(bits(res.model.b1) === bits(ref.model.b1))
+    assert(res.model.w2.map(bits).toSeq === ref.model.w2.map(bits).toSeq)
+    assert(bits(res.model.b2) === bits(ref.model.b2))
+  }
+}
+
+class JointGoldenSpec extends SparkSpec {
+  import TripletTraining._
+
+  test("training matches the per-triplet reference loop bit for bit on ML-Open weak labels") {
+    val cmdl = new repro.core.Cmdl(spark, LakeGen.mlOpen(0.1))
+    val labels = cmdl.weakLabels()
+    val rel = labels.rel(cmdl) _
+    val docs = cmdl.docProfiles.map(d => De(d.id, encode(d.metaEmb, d.contentEmb)))
+    val cols = cmdl.lfs.textCols.map(c => De(c.ref, encode(c.metaEmb, c.contentEmb)))
+    // at this scale few pairs reach the default threshold; take the top decile as positives
+    val rels = (for (d <- docs; c <- cols) yield rel(d.id, c.id)).sorted
+    val cfg = Config(maxEpochs = 12, batchFrac = 0.2, posThreshold = rels(rels.size * 9 / 10))
+    // the reference loop drops batches unless both sides split into the same count
+    def groups(n: Int) = math.ceil(n / math.ceil(n / 5.0)).toInt
+    assert(groups(docs.size) === groups(cols.size), s"${docs.size} docs, ${cols.size} columns")
+    val res = train(docs, cols, rel, cfg)
+    assert(res.totalTriplets > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
+    ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
+  }
+
+  test("trainJoint fails loudly on a lake without text-searchable columns") {
+    val lake = TestFixtures.pharma
+    val numeric = lake.copy(tables = lake.tables.map(t => t.copy(columns = t.columns.filter(_.dtype == "numeric")))
+      .filter(_.columns.nonEmpty), docs = lake.docs.take(5))
+    val cmdl = new repro.core.Cmdl(spark, numeric)
+    assert(cmdl.lfs.textCols.isEmpty)
+    val labels = cmdl.WeakLabels(Seq.fill(4)(0.5), Seq.fill(4)(true), Array.fill(5)(0.0), Seq.empty, Seq.empty)
+    val e = intercept[IllegalArgumentException](cmdl.trainJoint(labels))
+    assert(e.getMessage.contains("5 documents") && e.getMessage.contains("0 text columns"), e.getMessage)
   }
 }
