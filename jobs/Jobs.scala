@@ -19,6 +19,34 @@ object Jobs {
 
   def scaleOf(args: Array[String]): Double =
     args.headOption.flatMap(_.toDoubleOption).getOrElse(1.0)
+
+  /** The synthetic lake named `name` at `scale`. */
+  def lake(name: String, scale: Double): repro.lake.Lake = name match {
+    case "mlOpen" => repro.lake.LakeGen.mlOpen(scale)
+    case "ukOpen" => repro.lake.LakeGen.ukOpen(scale)
+    case "pharma" => repro.lake.LakeGen.pharma(scale)
+    case other    => sys.error(s"unknown lake '$other'; expected mlOpen, ukOpen or pharma")
+  }
+
+  /** SHA-256 (hex) of `xs`, each as 8 big-endian bytes, in order. */
+  def digestLongs(xs: Iterator[Long]): String = sha256 { md =>
+    val buf = java.nio.ByteBuffer.allocate(8)
+    for (x <- xs) { buf.clear(); buf.putLong(x); md.update(buf.array()) }
+  }
+
+  /** SHA-256 (hex) of the raw IEEE-754 bits of `xs`, in order. */
+  def digest(xs: Iterator[Double]): String = digestLongs(xs.map(java.lang.Double.doubleToRawLongBits))
+
+  /** SHA-256 (hex) of the UTF-8 lines `xs`, each newline-terminated. */
+  def digestLines(xs: Iterator[String]): String = sha256 { md =>
+    for (x <- xs) md.update((x + "\n").getBytes(java.nio.charset.StandardCharsets.UTF_8))
+  }
+
+  private def sha256(feed: java.security.MessageDigest => Unit): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    feed(md)
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
 }
 
 object Table1Job {
@@ -100,19 +128,9 @@ object Table6Job {
   * configuration decides.
   */
 object TrainJointJob {
-  import java.security.MessageDigest
-
   import repro.core.Cmdl
   import repro.joint.TripletTraining
-  import repro.lake.LakeGen
-
-  /** SHA-256 (hex) of the raw IEEE-754 bits of `xs`, in order. */
-  def digest(xs: Iterator[Double]): String = {
-    val md = MessageDigest.getInstance("SHA-256")
-    val buf = java.nio.ByteBuffer.allocate(8)
-    for (x <- xs) { buf.clear(); buf.putLong(java.lang.Double.doubleToRawLongBits(x)); md.update(buf.array()) }
-    md.digest().map(b => f"${b & 0xff}%02x").mkString
-  }
+  import Jobs.digest
 
   def main(args: Array[String]): Unit = {
     val lakeName = args.headOption.getOrElse("mlOpen")
@@ -121,12 +139,7 @@ object TrainJointJob {
       case Some(n) => TripletTraining.Config(maxEpochs = n, convergenceTol = 0.0)
       case None    => TripletTraining.Config()
     }
-    val lake = lakeName match {
-      case "mlOpen" => LakeGen.mlOpen(scale)
-      case "ukOpen" => LakeGen.ukOpen(scale)
-      case "pharma" => LakeGen.pharma(scale)
-      case other    => sys.error(s"unknown lake '$other'; expected mlOpen, ukOpen or pharma")
-    }
+    val lake = Jobs.lake(lakeName, scale)
     val spark = Jobs.session()
     try {
       val cmdl = new Cmdl(spark, lake)
@@ -147,6 +160,95 @@ object TrainJointJob {
       println(f"rel memo fill     ${s.relNs / 1e9}%.3f s  (${s.relCalls} rel calls)")
       println(f"forward passes    ${s.forwardNs / 1e9}%.3f s  (${s.forwardPasses} passes)")
       println(f"SGD               ${s.stepNs / 1e9}%.3f s  (${s.steps} steps)")
+    } finally spark.stop()
+  }
+}
+
+/** Builds a lake's `Cmdl` and prints what identifies its set-up bit for bit:
+  * SHA-256 digests of every column and document profile's `sig`, `contentEmb`
+  * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document and
+  * of `syntacticIndex.topK` (k = 10) for every joinable column. Two commits
+  * whose set-up agrees print the same digests.
+  *
+  * It then times set-up again in the warmed JVM, split into column profiling,
+  * document profiling and each index build, and checks that the second
+  * profiling pass gives the same digests.
+  *
+  * Usage: `spark-submit --class repro.jobs.SetupDigestJob repro.jar
+  * [mlOpen|ukOpen|pharma] [scale]`.
+  */
+object SetupDigestJob {
+  import repro.core.Cmdl
+  import repro.discover.JoinDiscovery
+  import repro.embed.AnnoyIndex
+  import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
+  import repro.sketch.LshEnsemble
+  import repro.text.Bm25Index
+  import Jobs.{digest, digestLines, digestLongs}
+
+  /** Digest lines of the sketches of both modalities, by kind. */
+  def profileDigests(cols: Seq[ColumnProfile], docs: Seq[DocProfile]): Seq[(String, String)] = {
+    val cs = cols.sortBy(_.ref)
+    val ds = docs.sortBy(_.id)
+    def floats(xs: Seq[Array[Float]]) = digest(xs.iterator.flatMap(_.iterator.map(_.toDouble)))
+    Seq(
+      "column refs" -> digestLines(cs.iterator.map(_.ref)),
+      "column sig" -> digestLongs(cs.iterator.flatMap(_.sig.iterator)),
+      "column contentEmb" -> floats(cs.map(_.contentEmb)),
+      "column metaEmb" -> floats(cs.map(_.metaEmb)),
+      "doc ids" -> digestLines(ds.iterator.map(_.id)),
+      "doc sig" -> digestLongs(ds.iterator.flatMap(_.sig.iterator)),
+      "doc contentEmb" -> floats(ds.map(_.contentEmb)),
+      "doc metaEmb" -> floats(ds.map(_.metaEmb)),
+    )
+  }
+
+  private def timed[A](label: String)(f: => A): A = {
+    val t0 = System.nanoTime()
+    val a = f
+    println(f"  $label%-22s ${(System.nanoTime() - t0) / 1e6}%9.1f ms")
+    a
+  }
+
+  def main(args: Array[String]): Unit = {
+    val lakeName = args.headOption.getOrElse("mlOpen")
+    val scale = args.lift(1).flatMap(_.toDoubleOption).getOrElse(1.0)
+    val lake = Jobs.lake(lakeName, scale)
+    val spark = Jobs.session()
+    try {
+      val t0 = System.nanoTime()
+      val cmdl = new Cmdl(spark, lake)
+      val joinable = cmdl.colProfiles.filter(_.hasTag(Tags.Joinable)).sortBy(_.ref)
+      println(s"=== Set-up: $lakeName at scale $scale, ${cmdl.colProfiles.size} columns " +
+        s"(${cmdl.lfs.textCols.size} text, ${joinable.size} joinable), ${cmdl.docProfiles.size} docs ===")
+      println(f"first set-up (cold JVM)  ${(System.nanoTime() - t0) / 1e9}%.3f s")
+
+      val profiles = profileDigests(cmdl.colProfiles, cmdl.docProfiles)
+      for ((kind, d) <- profiles) println(f"$kind%-18s $d")
+      val probes = cmdl.docProfiles.sortBy(_.id).iterator.map { d =>
+        val p = cmdl.lfs.probe(d)
+        (d.id +: cmdl.lfs.names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
+      }
+      println(f"${"lfs.probe"}%-18s ${digestLines(probes)}")
+      val joins = joinable.iterator.map { c =>
+        (c.ref +: cmdl.syntacticIndex.topK(c, 10).map { case (r, s) =>
+          f"${r.render}:${java.lang.Double.doubleToRawLongBits(s)}%016x"
+        }).mkString(" ")
+      }
+      println(f"${"syntactic topK"}%-18s ${digestLines(joins)}")
+
+      println("warm set-up split:")
+      val cols = timed("profile columns")(Profiler.profileColumns(spark, lake.rawColumns))
+      val docs = timed("profile docs")(Profiler.profileDocs(spark, lake.docs))
+      val text = cols.filter(_.hasTag(Tags.TextSearch))
+      timed("annoy (semantic LF)")(new AnnoyIndex(text.map(c => (c.ref, c.contentEmb)).toIndexedSeq))
+      timed("lsh (syntactic LF)")(new LshEnsemble(text.map(c => LshEnsemble.Entry(c.ref, c.sig, c.card))))
+      timed("bm25 content LF")(new Bm25Index(text.map(c => c.ref -> c.bag).toMap))
+      timed("bm25 metadata LF")(new Bm25Index(text.map(c =>
+        c.ref -> (Profiler.nameTokens(c.table) ++ Profiler.nameTokens(c.column))).toMap))
+      timed("bm25 docs")(new Bm25Index(docs.map(d => d.id -> d.bag).toMap))
+      timed("syntactic join index")(new JoinDiscovery.SyntacticIndex(cols))
+      println(s"re-profiling gives the same digests: ${profileDigests(cols, docs) == profiles}")
     } finally spark.stop()
   }
 }

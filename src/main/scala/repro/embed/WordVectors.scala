@@ -1,5 +1,6 @@
 package repro.embed
 
+import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
 /** Deterministic subword word embeddings — the fasttext [16] substitute.
@@ -34,33 +35,43 @@ object WordVectors {
     out
   }
 
-  private def ngrams(word: String, lo: Int = 3, hi: Int = 5): Seq[String] = {
-    val padded = "<" + word + ">"
-    val grams = for {
-      n <- lo to hi
-      if padded.length >= n
-      g <- padded.sliding(n)
-    } yield g
-    grams :+ padded // whole-word gram, as fasttext does
-  }
-
   /** Unit-norm vector for one word. */
-  def wordVector(word: String, dim: Int = Dim): Array[Float] = {
+  def wordVector(word: String, dim: Int = Dim): Array[Float] =
+    wordVectorOf(word, dim, ngramVector(_, dim))
+
+  /** Sums the vectors `gram` gives for the word's character 3- to 5-grams
+    * (of the word padded with `<` and `>`), then for the whole padded word,
+    * as fasttext does — always in that order.
+    */
+  private def wordVectorOf(word: String, dim: Int, gram: String => Array[Float]): Array[Float] = {
     val acc = new Array[Float](dim)
-    for (g <- ngrams(word.toLowerCase)) {
-      val v = ngramVector(g, dim)
+    def add(g: String): Unit = {
+      val v = gram(g)
       var i = 0
       while (i < dim) { acc(i) += v(i); i += 1 }
     }
+    val padded = "<" + word.toLowerCase + ">"
+    for (n <- 3 to 5; from <- 0 to padded.length - n) add(padded.substring(from, from + n))
+    add(padded)
     normalize(acc)
   }
 
-  /** Mean pooling over word vectors (unbiased set summary [43]), unit-norm. */
+  /** Mean pooling over word vectors (unbiased set summary [43]), unit-norm.
+    *
+    * N-gram vectors are memoised for the duration of one call only: a
+    * column's values share most of their n-grams (`mlms3key17`,
+    * `mlms3key18`, …), so each is generated once per call, and the memo is
+    * garbage when the call returns. Every word still sums its n-gram vectors
+    * in the same order, so the result equals pooling `wordVector` bit for
+    * bit.
+    */
   def meanPool(words: Iterable[String], dim: Int = Dim): Array[Float] = {
+    val grams = mutable.HashMap.empty[String, Array[Float]]
+    val gram = (g: String) => grams.getOrElseUpdate(g, ngramVector(g, dim))
     val acc = new Array[Float](dim)
     var n = 0
     for (w <- words) {
-      val v = wordVector(w, dim)
+      val v = wordVectorOf(w, dim, gram)
       var i = 0
       while (i < dim) { acc(i) += v(i); i += 1 }
       n += 1

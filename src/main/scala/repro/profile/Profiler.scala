@@ -85,15 +85,16 @@ object Profiler {
     import spark.implicits._
     if (docs.isEmpty) return Seq.empty
 
-    // 1. NLP pipeline per document (distributed map).
-    val bags: Dataset[(String, Seq[String])] =
-      spark.createDataset(docs).map(d => (d.id, Tokenizer.bagOfWords(d.title + " " + d.text)))
+    // 1. NLP pipeline per document (distributed map): (collection, id, title, bag).
+    val bags: Dataset[(String, String, String, Seq[String])] =
+      spark.createDataset(docs)
+        .map(d => (d.collection, d.id, d.title, Tokenizer.bagOfWords(d.title + " " + d.text)))
 
     // 2. Corpus-level doc-frequency filter as a dataflow: terms occurring in
     //    more than maxDfFrac of the documents are non-discriminative.
     val nDocs = docs.size.toDouble
     val stopTerms = bags
-      .select($"_1" as "id", explode($"_2") as "term")
+      .select($"_2" as "id", explode($"_4") as "term")
       .distinct()
       .groupBy($"term")
       .agg(count(lit(1)) as "df")
@@ -105,24 +106,22 @@ object Profiler {
     val stopB = spark.sparkContext.broadcast(stopTerms)
 
     // 3. Sketch each filtered bag (distributed map), then collect profiles.
-    val byId = docs.map(d => d.id -> d).toMap
     bags
-      .map { case (id, bag) => (id, bag.filterNot(stopB.value.contains)) }
-      .collect()
-      .toSeq
-      .map { case (id, bag) =>
-        val d = byId(id)
+      .map { case (collection, id, title, words) =>
+        val bag = words.filterNot(stopB.value.contains)
         DocProfile(
-          collection = d.collection,
+          collection = collection,
           id = id,
-          title = d.title,
+          title = title,
           bag = bag,
           card = bag.distinct.size.toLong,
           sig = MinHash.signature(bag.distinct),
           contentEmb = WordVectors.meanPool(bag),
-          metaEmb = WordVectors.meanPool(Tokenizer.bagOfWords(d.title)),
+          metaEmb = WordVectors.meanPool(Tokenizer.bagOfWords(title)),
         )
       }
+      .collect()
+      .toSeq
   }
 
   /** Tokens of a table/column identifier: split on `_` and camel case. */

@@ -13,6 +13,12 @@ import scala.util.hashing.MurmurHash3
   * the top-k. Threshold probes (`queryThreshold`) keep every candidate whose
   * estimate clears the threshold — the paper notes this threshold-based
   * behaviour is why LSHEnsemble alone ranks poorly (§6.1).
+  *
+  * Each band of a partition is one sorted `Array[Long]` of
+  * `bandHash << 32 | localIdx` keys, so a bucket is the run of keys sharing
+  * the high half and a probe finds it by binary search. Every entry must
+  * carry a signature of the same length, with `1 <= bands <= numHashes`;
+  * probes must use that length too.
   */
 final class LshEnsemble(
     entries: Seq[LshEnsemble.Entry],
@@ -26,7 +32,15 @@ final class LshEnsemble(
   import LshEnsemble._
 
   private val numHashes = entries.headOption.map(_.sig.length).getOrElse(MinHash.DefaultNumHashes)
-  private val rowsPerBand = math.max(1, numHashes / bands)
+  require(entries.forall(_.sig.length == numHashes), {
+    val e = entries.find(_.sig.length != numHashes).get
+    s"entry '${e.id}' has a ${e.sig.length}-row signature but '${entries.head.id}' has $numHashes rows; " +
+      "all signatures must have the same length"
+  })
+  require(1 <= bands && bands <= numHashes,
+    s"bands must be in 1..numHashes = 1..$numHashes, got $bands (a band past the signature's end " +
+      "hashes an empty row range, so every entry would collide)")
+  private val rowsPerBand = numHashes / bands
 
   // Equi-depth partitions over cardinality-sorted entries.
   private val partitions: IndexedSeq[Partition] = {
@@ -35,32 +49,48 @@ final class LshEnsemble(
     else {
       val per = math.max(1, math.ceil(sorted.size.toDouble / numPartitions).toInt)
       sorted.grouped(per).map { group =>
-        val table = mutable.HashMap.empty[(Int, Int), mutable.ArrayBuffer[Int]]
-        for ((e, localIdx) <- group.zipWithIndex; b <- 0 until bands) {
-          table.getOrElseUpdate((b, bandHash(e.sig, b)), mutable.ArrayBuffer.empty) += localIdx
+        val table = Array.tabulate(bands) { b =>
+          val keys = Array.tabulate(group.size)(i => key(bandHash(group(i).sig, b), i))
+          java.util.Arrays.sort(keys)
+          keys
         }
-        Partition(group, table.view.mapValues(_.toArray).toMap)
+        Partition(group, table)
       }.toIndexedSeq
     }
   }
 
   private def bandHash(sig: Array[Long], band: Int): Int = {
     val from = band * rowsPerBand
-    val until = math.min(sig.length, from + rowsPerBand)
+    val until = from + rowsPerBand
     var h = MurmurHash3.symmetricSeed + band
     var i = from
     while (i < until) { h = MurmurHash3.mix(h, (sig(i) ^ (sig(i) >>> 32)).toInt); i += 1 }
     MurmurHash3.finalizeHash(h, until - from)
   }
 
-  private def candidates(sig: Array[Long]): Iterator[Entry] =
+  /** Entries colliding with `sig` on at least one band, each once. */
+  private def candidates(sig: Array[Long]): Iterator[Entry] = {
+    require(entries.isEmpty || sig.length == numHashes,
+      s"probe signature has ${sig.length} rows, the index's have $numHashes")
+    if (partitions.isEmpty) return Iterator.empty
+    val hashes = Array.tabulate(bands)(bandHash(sig, _))
     partitions.iterator.flatMap { p =>
-      val seen = mutable.BitSet.empty
-      (0 until bands).iterator
-        .flatMap(b => p.table.getOrElse((b, bandHash(sig, b)), Array.empty[Int]))
-        .filter(seen.add)
-        .map(p.entries)
+      val hit = new Array[Boolean](p.entries.size)
+      val out = mutable.ArrayBuffer.empty[Entry]
+      var b = 0
+      while (b < bands) {
+        val keys = p.table(b)
+        var j = firstAtLeast(keys, key(hashes(b), 0))
+        while (j < keys.length && (keys(j) >> 32).toInt == hashes(b)) {
+          val i = keys(j).toInt
+          if (!hit(i)) { hit(i) = true; out += p.entries(i) }
+          j += 1
+        }
+        b += 1
+      }
+      out
     }
+  }
 
   /** Top-k entries by estimated containment of the query set in the entry. */
   def query(sig: Array[Long], card: Long, k: Int): Seq[(String, Double)] =
@@ -86,8 +116,24 @@ final class LshEnsemble(
 object LshEnsemble {
   /** An indexed set: stable id, minhash signature, exact cardinality. */
   final case class Entry(id: String, sig: Array[Long], card: Long)
-  private final case class Partition(entries: IndexedSeq[Entry], table: Map[(Int, Int), Array[Int]])
 
+  /** `table(b)` holds band b's keys, sorted. */
+  private final case class Partition(entries: IndexedSeq[Entry], table: Array[Array[Long]])
+
+  private def key(bandHash: Int, localIdx: Int): Long = (bandHash.toLong << 32) | localIdx
+
+  /** Index of the first key >= `k` in the sorted `keys`. */
+  private def firstAtLeast(keys: Array[Long], k: Long): Int = {
+    var lo = 0; var hi = keys.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (keys(mid) < k) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** Index over raw value sets, one band per signature row. */
   def build(sets: Seq[(String, Set[String])], numHashes: Int = MinHash.DefaultNumHashes): LshEnsemble =
-    new LshEnsemble(sets.map { case (id, s) => Entry(id, MinHash.signature(s, numHashes), s.size) })
+    new LshEnsemble(sets.map { case (id, s) => Entry(id, MinHash.signature(s, numHashes), s.size) },
+      bands = numHashes)
 }

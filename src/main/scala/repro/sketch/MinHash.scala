@@ -5,33 +5,64 @@ import scala.util.hashing.MurmurHash3
 /** Minwise hashing sketches (§3 "Syntactic Similarity via Jaccard Distances").
   *
   * Signatures are deterministic in the value set: hash i of a set is the
-  * minimum over members of a seeded 64-bit mix of MurmurHash3. The Jaccard
-  * estimator is the classic matching-component fraction; the containment
-  * estimator converts the Jaccard estimate using the exact cardinalities that
-  * the profiler stores alongside each sketch (the Lazo [34] / LSHEnsemble [69]
-  * estimation family).
+  * minimum over members of a 64-bit splitmix64 mix of two seeded 32-bit
+  * MurmurHash3 string hashes (`stringHash(v, s_i)` in the high half,
+  * `stringHash(v, s_i ^ 0x5bd1e995)` in the low half, `s_i = i·0x9e3779b9 + 1`).
+  * All 2×k Murmur chains of a value run in lockstep: each two-char block is
+  * scrambled once and folded into every chain, so a value costs one pass over
+  * its chars instead of 2×k. The arithmetic per chain is exactly
+  * `MurmurHash3.stringHash`'s, so the bits are the same.
+  *
+  * The Jaccard estimator is the classic matching-component fraction; the
+  * containment estimator converts the Jaccard estimate using the exact
+  * cardinalities that the profiler stores alongside each sketch (the Lazo
+  * [34] / LSHEnsemble [69] estimation family).
   */
 object MinHash {
 
   val DefaultNumHashes = 256
 
-  /** 64-bit avalanche mix (splitmix64 finaliser) over a murmur seed. */
-  private def mix(seed: Int, value: String): Long = {
-    var z = (MurmurHash3.stringHash(value, seed).toLong << 32) |
-      (MurmurHash3.stringHash(value, seed ^ 0x5bd1e995) & 0xffffffffL)
-    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
-    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
-    z ^ (z >>> 31)
-  }
+  /** Murmur's per-block scramble, done once per block for all chains. */
+  private def scramble(data: Int): Int = MurmurHash3.mixLast(0, data)
 
   /** k-minwise signature of a value set. Empty sets get Long.MaxValue rows. */
   def signature(values: Iterable[String], numHashes: Int = DefaultNumHashes): Array[Long] = {
     val sig = Array.fill(numHashes)(Long.MaxValue)
+    val seedHi = Array.tabulate(numHashes)(i => i * 0x9e3779b9 + 1)
+    val seedLo = seedHi.map(_ ^ 0x5bd1e995)
+    val hi = new Array[Int](numHashes)
+    val lo = new Array[Int](numHashes)
     for (v <- values) {
+      System.arraycopy(seedHi, 0, hi, 0, numHashes)
+      System.arraycopy(seedLo, 0, lo, 0, numHashes)
       var i = 0
+      val n = v.length
+      var c = 0
+      while (c + 1 < n) {
+        val k = scramble((v.charAt(c) << 16) + v.charAt(c + 1))
+        i = 0
+        while (i < numHashes) {
+          // MurmurHash3.mix with the scramble hoisted out of the lane loop
+          hi(i) = Integer.rotateLeft(hi(i) ^ k, 13) * 5 + 0xe6546b64
+          lo(i) = Integer.rotateLeft(lo(i) ^ k, 13) * 5 + 0xe6546b64
+          i += 1
+        }
+        c += 2
+      }
+      if (c < n) { // odd length: MurmurHash3.mixLast of the last char
+        val k = scramble(v.charAt(c).toInt)
+        i = 0
+        while (i < numHashes) { hi(i) ^= k; lo(i) ^= k; i += 1 }
+      }
+      i = 0
       while (i < numHashes) {
-        val h = mix(i * 0x9e3779b9 + 1, v)
-        if (h < sig(i)) sig(i) = h
+        // splitmix64 finaliser over the two 32-bit halves
+        var z = (MurmurHash3.finalizeHash(hi(i), n).toLong << 32) |
+          (MurmurHash3.finalizeHash(lo(i), n) & 0xffffffffL)
+        z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+        z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+        z ^= z >>> 31
+        if (z < sig(i)) sig(i) = z
         i += 1
       }
     }

@@ -1,5 +1,6 @@
 package repro.embed
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 
 class WordVectorsSpec extends AnyFunSuite {
@@ -84,5 +85,29 @@ class WordVectorsSpec extends AnyFunSuite {
 
   test("normalize leaves the zero vector untouched") {
     assert(normalize(Array(0f, 0f)).toSeq === Seq(0f, 0f))
+  }
+
+  private def bits(v: Array[Float]): Seq[Int] = v.toSeq.map(java.lang.Float.floatToRawIntBits)
+
+  // words that repeat and share n-grams, as a column's values do
+  private val word: Gen[String] = for {
+    root <- Gen.oneOf("mlms3key", "pemetrexed", "Drug", "drug", "a", "", "x_y", "\u00e9t\u00e9")
+    suffix <- Gen.oneOf("", "1", "17", "18", "_12", "_47")
+  } yield root + suffix
+
+  test("wordVector equals the seed kernel bit for bit") {
+    val prop = Prop.forAll(word, Gen.oneOf(1, 7, 100)) { (w, dim) =>
+      bits(wordVector(w, dim)) == bits(SeedWordVectors.wordVector(w, dim))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res)
+  }
+
+  test("meanPool equals the seed kernel bit for bit on words that repeat and share n-grams") {
+    val prop = Prop.forAll(Gen.listOf(word), Gen.oneOf(1, 7, 100)) { (ws, dim) =>
+      bits(meanPool(ws, dim)) == bits(SeedWordVectors.meanPool(ws, dim))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res)
   }
 }

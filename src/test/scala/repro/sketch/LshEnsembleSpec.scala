@@ -1,8 +1,10 @@
 package repro.sketch
 
+import org.scalacheck.{Arbitrary, Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 
 class LshEnsembleSpec extends AnyFunSuite {
+  import LshEnsembleSpec.World
 
   private def set(lo: Int, hi: Int, prefix: String = "v"): Set[String] =
     (lo to hi).map(prefix + _).toSet
@@ -70,4 +72,79 @@ class LshEnsembleSpec extends AnyFunSuite {
       assert(res.map(_._1).contains(id), s"self-recall failed for $id")
     }
   }
+
+  // Rows drawn from a tiny range so that entries and probes often share a
+  // band's bucket; Long.MaxValue is the empty-set sentinel row.
+  private def sigOf(rows: Int): Gen[Array[Long]] = Gen.listOfN(rows, Gen.frequency(
+    6 -> Gen.choose(0L, 3L), 1 -> Gen.const(Long.MaxValue), 1 -> Arbitrary.arbitrary[Long])).map(_.toArray)
+
+  private val world: Gen[World] = for {
+    rows <- Gen.choose(1, 12)
+    bands <- Gen.choose(1, rows)
+    partitions <- Gen.choose(1, 5)
+    n <- Gen.choose(0, 30)
+    entries <- Gen.listOfN(n, for {
+      id <- Gen.choose(0, 40) // ids may repeat
+      sig <- sigOf(rows)
+      card <- Gen.choose(1L, 200L)
+    } yield LshEnsemble.Entry(s"e$id", sig, card))
+    probes <- Gen.listOfN(4, Gen.zip(sigOf(rows), Gen.choose(1L, 200L)))
+  } yield World(entries, partitions, bands, probes)
+
+  test("query and queryThreshold equal the seed's hash-map index") {
+    val prop = Prop.forAll(world, Gen.choose(0, 12), Gen.choose(0.0, 1.0)) { (w, k, threshold) =>
+      val idx = new LshEnsemble(w.entries, w.partitions, w.bands)
+      val seed = new SeedLshEnsemble(w.entries, w.partitions, w.bands)
+      w.probes.forall { case (sig, card) =>
+        idx.query(sig, card, k) == seed.query(sig, card, k) &&
+        idx.queryThreshold(sig, card, threshold) == seed.queryThreshold(sig, card, threshold) &&
+        idx.queryThreshold(sig, card, 0.0) == seed.queryThreshold(sig, card, 0.0)
+      }
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+  }
+
+  test("query equals the seed's index on the nested and noise columns") {
+    val entries = (nested ++ noise).map { case (id, s) => LshEnsemble.Entry(id, MinHash.signature(s), s.size) }
+    val seed = new SeedLshEnsemble(entries)
+    for (q <- Seq(set(1, 20), set(1, 80), set(1, 30, "zzz_"), set(1, 50, "noise3_"))) {
+      val sig = MinHash.signature(q)
+      assert(index.query(sig, q.size, 40) === seed.query(sig, q.size, 40))
+      assert(index.queryThreshold(sig, q.size, 0.0) === seed.queryThreshold(sig, q.size, 0.0))
+    }
+  }
+
+  private def entries(rows: Int*): Seq[LshEnsemble.Entry] =
+    rows.zipWithIndex.map { case (r, i) => LshEnsemble.Entry(s"e$i", MinHash.signature(set(1, 10), r), 10) }
+
+  test("more bands than signature rows fail at construction") {
+    val e = intercept[IllegalArgumentException](new LshEnsemble(entries(64, 64)))
+    assert(e.getMessage.contains("bands must be in 1..numHashes = 1..64, got 256"))
+    intercept[IllegalArgumentException](new LshEnsemble(entries(64), bands = 0))
+  }
+
+  test("signatures of different lengths fail at construction") {
+    val e = intercept[IllegalArgumentException](new LshEnsemble(entries(256, 256, 128)))
+    assert(e.getMessage.contains("entry 'e2' has a 128-row signature but 'e0' has 256 rows"))
+  }
+
+  test("a probe signature of the wrong length fails with a clear message") {
+    val idx = new LshEnsemble(entries(256, 256))
+    val e = intercept[IllegalArgumentException](idx.query(MinHash.signature(set(1, 10), 64), 10, 3))
+    assert(e.getMessage.contains("probe signature has 64 rows, the index's have 256"))
+    intercept[IllegalArgumentException](idx.queryThreshold(MinHash.signature(set(1, 10), 300), 10, 0.5))
+  }
+
+  test("build with a custom signature length bands every row, so a disjoint probe collides with nothing") {
+    val small = LshEnsemble.build(nested ++ noise, numHashes = 64)
+    val q = set(1, 30, "zzz_")
+    assert(small.queryThreshold(MinHash.signature(q, 64), q.size, 0.0).isEmpty)
+    assert(small.query(MinHash.signature(set(1, 20), 64), 20, 3).head._2 > 0.85)
+  }
+}
+
+object LshEnsembleSpec {
+  final case class World(entries: Seq[LshEnsemble.Entry], partitions: Int, bands: Int,
+      probes: Seq[(Array[Long], Long)])
 }

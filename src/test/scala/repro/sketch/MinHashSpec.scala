@@ -1,5 +1,6 @@
 package repro.sketch
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -88,5 +89,27 @@ class MinHashSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       MinHash.estJaccard(MinHash.signature(set(5), 64), MinHash.signature(set(5), 128))
     }
+  }
+
+  // chars >= 0x8000 flip the sign of `charAt << 16` in Murmur's two-char blocks
+  private val char: Gen[Char] = Gen.frequency(
+    4 -> Gen.alphaNumChar, 1 -> Gen.choose('\u0000', '\u7fff'), 2 -> Gen.choose('\u8000', '\uffff'))
+  private val value: Gen[String] = Gen.choose(0, 9).flatMap(n => Gen.listOfN(n, char).map(_.mkString))
+
+  test("signature equals the seed kernel bit for bit") {
+    val prop = Prop.forAll(Gen.listOf(value), Gen.choose(1, 300)) { (vs, k) =>
+      MinHash.signature(vs, k).sameElements(SeedMinHash.signature(vs, k))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res)
+  }
+
+  test("signature equals the seed kernel on edge-case values and lengths") {
+    val sets = Seq(
+      Nil, Seq(""), Seq("a"), Seq("ab"), Seq("abc", "abcd"),
+      Seq("\u8000", "\uffff\u8000", "a\u9000b", "\u8001z\uffff\u0000"),
+    )
+    for (vs <- sets; k <- Seq(1, 2, 3, 255, 256, 300))
+      assert(MinHash.signature(vs, k).sameElements(SeedMinHash.signature(vs, k)), s"values $vs, k = $k")
   }
 }

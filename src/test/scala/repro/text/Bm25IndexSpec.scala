@@ -1,5 +1,6 @@
 package repro.text
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 
 class Bm25IndexSpec extends AnyFunSuite {
@@ -81,5 +82,49 @@ class Bm25IndexSpec extends AnyFunSuite {
   test("deterministic ordering on ties (by id)") {
     val tied = new Bm25Index(Map("a" -> Seq("t", "u"), "b" -> Seq("t", "w")))
     assert(tied.query(Seq("t"), 2).map(_._1) === Seq("a", "b"))
+  }
+
+  private val vocab = Seq("drug", "enzyme", "city", "dose", "t1", "t2", "t3")
+  private val bag: Gen[Seq[String]] = Gen.choose(0, 10).flatMap(n => Gen.listOfN(n, Gen.oneOf(vocab)))
+
+  test("score equals the score query reports, bit for bit, and 0.0 elsewhere") {
+    val prop = Prop.forAll(Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, bag)),
+        Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.oneOf(vocab :+ "unknown"))),
+        Gen.choose(0.5, 2.0), Gen.choose(0.0, 1.0)) { (bags, terms, k1, b) =>
+      val corpus = bags.zipWithIndex.map { case (bg, i) => s"d$i" -> bg }.toMap
+      val idx = new Bm25Index(corpus, k1, b)
+      val reported = idx.query(terms, idx.size).toMap
+      def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+      corpus.keys.forall(id => bits(idx.score(terms, id)) == bits(reported.getOrElse(id, 0.0))) &&
+      bits(idx.score(terms, "unknown-id")) == bits(0.0)
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+  }
+
+  test("query and LM Dirichlet rank by (-score, id) and cut at k") {
+    val prop = Prop.forAll(Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, bag)),
+        Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.oneOf(vocab :+ "unknown"))), Gen.choose(-1, 14)) {
+      (bags, terms, k) =>
+      // shuffled ids, so that index order and insertion order differ
+      val corpus = bags.zipWithIndex.map { case (bg, i) => s"d${(i * 7) % 13}_$i" -> bg }.toMap
+      val idx = new Bm25Index(corpus)
+      def ranked(all: Seq[(String, Double)]) =
+        all.forall(_._2 != 0.0) && all == all.sortBy { case (id, s) => (-s, id) }
+      val all = idx.query(terms, idx.size)
+      val lm = idx.queryLmDirichlet(terms, idx.size)
+      ranked(all) && idx.query(terms, k) == all.take(k) &&
+      ranked(lm) && idx.queryLmDirichlet(terms, k) == lm.take(k)
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+  }
+
+  // values printed by the nested-map postings this index replaced
+  test("LM Dirichlet answers are pinned on a fixed corpus") {
+    assert(idx.queryLmDirichlet(Seq("drug", "enzyme", "drug", "census"), 4) ===
+      Seq(("d1", -7.335571848679686), ("d3", -7.3363733843513526), ("d4", -7.33696309500659), ("d2", -7.340550956260362)))
+    assert(idx.queryLmDirichlet(Seq("warfarin", "dose", "zzz"), 4, mu = 3.0) ===
+      Seq(("d2", -4.9298079649623014), ("d4", -5.238109324616818), ("d3", -6.664409020350408), ("d1", -6.972710380004925)))
   }
 }
