@@ -166,9 +166,11 @@ object TrainJointJob {
 
 /** Builds a lake's `Cmdl` and prints what identifies its set-up bit for bit:
   * SHA-256 digests of every column and document profile's `sig`, `contentEmb`
-  * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document and
-  * of `syntacticIndex.topK` (k = 10) for every joinable column. Two commits
-  * whose set-up agrees print the same digests.
+  * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document, of
+  * `syntacticIndex.topK` (k = 10) for every joinable column, and of the full
+  * syntactic-LF candidate set, `lfs.lsh.queryThreshold` at 0.0, for every
+  * document and text column. Two commits whose set-up agrees print the same
+  * digests.
   *
   * It then times set-up again in the warmed JVM, split into column profiling,
   * document profiling and each index build, and checks that the second
@@ -236,6 +238,14 @@ object SetupDigestJob {
         }).mkString(" ")
       }
       println(f"${"syntactic topK"}%-18s ${digestLines(joins)}")
+      val lshProbes = cmdl.docProfiles.sortBy(_.id).iterator.map(d => ("doc " + d.id, d.sig, d.card)) ++
+        cmdl.lfs.textCols.sortBy(_.ref).iterator.map(c => ("col " + c.ref, c.sig, c.card))
+      val candidates = lshProbes.map { case (id, sig, card) =>
+        (id +: cmdl.lfs.lsh.queryThreshold(sig, card, 0.0).map { case (ref, s) =>
+          f"$ref:${java.lang.Double.doubleToRawLongBits(s)}%016x"
+        }).mkString(" ")
+      }
+      println(f"${"lsh candidates"}%-18s ${digestLines(candidates)}")
 
       println("warm set-up split:")
       val cols = timed("profile columns")(Profiler.profileColumns(spark, lake.rawColumns))

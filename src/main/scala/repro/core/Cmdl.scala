@@ -28,8 +28,11 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
   val colProfiles: Seq[ColumnProfile] = Profiler.profileColumns(spark, lake.rawColumns)
   val docProfiles: Seq[DocProfile] = Profiler.profileDocs(spark, lake.docs)
 
-  val colByRef: Map[String, ColumnProfile] = colProfiles.map(p => p.ref -> p).toMap
-  val docById: Map[String, DocProfile] = docProfiles.map(d => d.id -> d).toMap
+  /** Column profiles by `table.column` ref; two columns sharing a ref fail construction. */
+  val colByRef: Map[String, ColumnProfile] = Cmdl.uniqueBy(colProfiles, "column ref")(_.ref, _.collection)
+
+  /** Document profiles by id; two documents sharing an id fail construction. */
+  val docById: Map[String, DocProfile] = Cmdl.uniqueBy(docProfiles, "document id")(_.id, _.collection)
 
   /** The four labeling-function indexes of Fig. 3 (also Table 6's probes). */
   val lfs = new LabelingFunctions(colProfiles, lfTopK)
@@ -156,5 +159,18 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       docEmb = TripletTraining.applyModel(result.model, docDes),
       colEmb = TripletTraining.applyModel(result.model, colDes),
       stats = result.stats)
+  }
+}
+
+object Cmdl {
+  /** `xs` by `key`, failing with both collections named if two share a key. */
+  private def uniqueBy[A](xs: Seq[A], what: String)(key: A => String, collection: A => String): Map[String, A] = {
+    val byKey = xs.map(x => key(x) -> x).toMap
+    if (byKey.size < xs.size) {
+      val dup = xs.groupBy(key).values.filter(_.size > 1).minBy(g => key(g.head))
+      throw new IllegalArgumentException(s"$what '${key(dup(0))}' occurs in collections " +
+        s"'${collection(dup(0))}' and '${collection(dup(1))}'; every $what must be unique across the lake")
+    }
+    byKey
   }
 }

@@ -6,20 +6,20 @@ import scala.collection.mutable
   * relationships as edges. Nodes are documents, columns and tables; edge
   * types include the syntactic/semantic column relationships, the
   * cross-modal joint-embedding links, and the higher-order table-table
-  * PK-FK and unionability relationships.
+  * PK-FK and unionability relationships. Edges are indexed by (source,
+  * relationship type), the only lookup `neighbors` needs.
   */
 final class Ekg {
 
   final case class Edge(src: String, dst: String, relType: String, weight: Double)
 
-  private val edges = mutable.ArrayBuffer.empty[Edge]
+  private var edgeCount = 0
   private val bySrcType = mutable.HashMap.empty[(String, String), mutable.ArrayBuffer[Edge]]
   private val nodeSet = mutable.HashSet.empty[String]
 
   def add(src: String, dst: String, relType: String, weight: Double): Unit = {
-    val e = Edge(src, dst, relType, weight)
-    edges += e
-    bySrcType.getOrElseUpdate((src, relType), mutable.ArrayBuffer.empty) += e
+    bySrcType.getOrElseUpdate((src, relType), mutable.ArrayBuffer.empty) += Edge(src, dst, relType, weight)
+    edgeCount += 1
     nodeSet += src; nodeSet += dst
   }
 
@@ -30,18 +30,6 @@ final class Ekg {
       .map(e => (e.dst, e.weight))
       .toSeq
 
-  /** All relationship types leaving a node. */
-  def relTypes(src: String): Set[String] =
-    bySrcType.keysIterator.collect { case (s, t) if s == src => t }.toSet
-
   def nodes: Set[String] = nodeSet.toSet
-  def size: Int = edges.size
-
-  /** Combined strength between two DEs: normalized sum over all relationship
-    * types linking them (the DRS composition of §5.2).
-    */
-  def combinedStrength(src: String, dst: String): Double = {
-    val linking = edges.filter(e => e.src == src && e.dst == dst)
-    if (linking.isEmpty) 0.0 else linking.map(_.weight).sum / linking.size
-  }
+  def size: Int = edgeCount
 }

@@ -38,8 +38,10 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
         Drs(hits, s"content_search($value, Text)")
       case _ =>
         val colHits = cmdl.lfs.bm25Content.query(terms, topn * 6)
-        val tables = DocToTable.aggregateToTables(
-          colHits.map { case (ref, s) => (ColRef.parse(ref), s) }, topn)
+        val tables = DocToTable.aggregateToTables(colHits.map { case (ref, s) =>
+          val c = cmdl.colByRef(ref)
+          (ColRef(c.table, c.column), s)
+        }, topn)
         tables.foreach { case (t, s) => ekg.add(s"kw:$value", t, "keyword", s) }
         Drs(tables, s"content_search($value, Table)")
     }
@@ -47,7 +49,7 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
 
   /** Q2/Q3-style cross-modal search: tables related to a document (by id),
     * ranked in the joint space when a joint model is available, otherwise by
-    * solo embeddings.
+    * solo embeddings. A column without a joint embedding scores 0.
     */
   def crossModalSearch(docId: String, topn: Int): Drs = {
     val doc = cmdl.docById.getOrElse(docId,
@@ -55,7 +57,7 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
     val tables = joint match {
       case Some(j) =>
         DocToTable.embeddingRank(j.docEmb(docId), cmdl.lfs.textCols,
-          c => j.colEmb.getOrElse(c.ref, new Array[Float](100)), topn)
+          c => j.colEmb.getOrElse(c.ref, new Array[Float](j.model.outDim)), topn)
       case None =>
         DocToTable.embeddingRank(doc.contentEmb, cmdl.lfs.textCols, _.contentEmb, topn)
     }

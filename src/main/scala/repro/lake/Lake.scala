@@ -1,7 +1,5 @@
 package repro.lake
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 import repro.profile.{RawColumn, RawDoc}
 
 /** A column reference `table.column` — the DE identity used by every
@@ -9,13 +7,6 @@ import repro.profile.{RawColumn, RawDoc}
   */
 final case class ColRef(table: String, column: String) {
   def render: String = s"$table.$column"
-}
-
-object ColRef {
-  def parse(s: String): ColRef = {
-    val i = s.lastIndexOf('.')
-    ColRef(s.substring(0, i), s.substring(i + 1))
-  }
 }
 
 /** One structured table of a lake, belonging to a named collection
@@ -50,7 +41,8 @@ final case class UnionBench(id: String, workload: String, queries: Map[String, S
 
 /** A data lake: structured tables + unstructured documents + the benchmark
   * ground truths that the generator derives while building the data (Table 2's
-  * "Ground Truth Generation" column).
+  * "Ground Truth Generation" column). The lake holds plain Scala
+  * collections; the profiler turns `rawColumns` and `docs` into Spark Datasets.
   */
 final case class Lake(
     name: String,
@@ -83,16 +75,4 @@ final case class Lake(
       .find(c => c.table == ref.table && c.column == ref.column)
       .map(_.values.map(_.trim.toLowerCase).filter(_.nonEmpty).toSet)
       .getOrElse(Set.empty)
-
-  /** The structured modality as a DataFrame of column rows. */
-  def columnsDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(rawColumns).toDF()
-  }
-
-  /** The unstructured modality as a DataFrame of documents. */
-  def docsDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.createDataset(docs).toDF()
-  }
 }

@@ -514,10 +514,14 @@ object LakeGen {
     for (base <- synBases; v <- 0 until 4) {
       val tname = s"syn_${base.name}_v$v"
       val (lo, hi) = slices(v)
+      val names = mutable.Set.empty[String]
       val cols = base.columns.filterNot(_.column == "description").take(4).map { c =>
         val distinct = c.values.distinct
         val slice = distinct.slice((distinct.size * lo).toInt, (distinct.size * hi).toInt)
-        val renamed = if (synRnd.nextDouble() < 0.5) s"fld${synRnd.nextInt(90)}x${synRnd.nextInt(90)}" else c.column
+        val drawn = if (synRnd.nextDouble() < 0.5) s"fld${synRnd.nextInt(90)}x${synRnd.nextInt(90)}" else c.column
+        // two renames can draw the same name; a column's ref must stay unique
+        val renamed = if (names.add(drawn)) drawn else s"${drawn}_${names.size}"
+        names += renamed
         RawColumn(S, tname, renamed, c.dtype, slice)
       }
       tables += LakeTable(S, tname, cols)

@@ -3,93 +3,69 @@ package repro.sketch
 import scala.collection.mutable
 import scala.util.hashing.MurmurHash3
 
-/** LSH-Ensemble-style containment index [69] (§3).
+/** LSH-Ensemble-style containment index [69] (§3), as one banded table.
   *
-  * Indexed sets are partitioned by cardinality (equi-depth on log-cardinality,
-  * as the original partitions by domain size) and each partition holds a
-  * banded minhash LSH table. A probe hashes the query signature's bands in
-  * each partition, collects candidates colliding on at least one band, ranks
-  * them by the MinHash containment estimate (query → candidate), and returns
-  * the top-k. Threshold probes (`queryThreshold`) keep every candidate whose
-  * estimate clears the threshold — the paper notes this threshold-based
-  * behaviour is why LSHEnsemble alone ranks poorly (§6.1).
+  * Each signature row is its own band (b = numHashes, r = 1): a containment
+  * probe from a small query into a large domain has a tiny Jaccard, so
+  * multi-row bands would rarely collide. A probe collects the entries that
+  * collide with the query on at least one row, ranks them by the MinHash
+  * containment estimate (query → candidate) and returns the top-k. Threshold
+  * probes (`queryThreshold`) keep every candidate whose estimate clears the
+  * threshold — the paper notes this threshold-based behaviour is why
+  * LSHEnsemble alone ranks poorly (§6.1).
   *
-  * Each band of a partition is one sorted `Array[Long]` of
-  * `bandHash << 32 | localIdx` keys, so a bucket is the run of keys sharing
-  * the high half and a probe finds it by binary search. Every entry must
-  * carry a signature of the same length, with `1 <= bands <= numHashes`;
-  * probes must use that length too.
+  * Ref [69] partitions the sets by cardinality only so that each partition
+  * can pick its own (b, r). With r = 1 in every partition a set collides with
+  * the query in its partition exactly when it does in one table over all
+  * sets, so partitions would add no candidate and lose none; this index keeps
+  * the one table. Per-partition (b, r) tuning is not implemented.
+  *
+  * Row r is one sorted `Array[Long]` of `rowHash << 32 | idx` keys, so a
+  * bucket is the run of keys sharing the high half and a probe finds it by
+  * binary search. Every entry must carry a signature of the same length, with
+  * at least one row; probes must use that length too.
   */
-final class LshEnsemble(
-    entries: Seq[LshEnsemble.Entry],
-    numPartitions: Int = 4,
-    // One row per band by default: a containment probe from a small query into
-    // a large domain has a tiny Jaccard, so multi-row bands would never
-    // collide — the original index tunes (b, r) per partition down to r≈1 for
-    // exactly this case; we bake that operating point in.
-    bands: Int = MinHash.DefaultNumHashes,
-) {
+final class LshEnsemble(entries: Seq[LshEnsemble.Entry]) {
   import LshEnsemble._
 
-  private val numHashes = entries.headOption.map(_.sig.length).getOrElse(MinHash.DefaultNumHashes)
-  require(entries.forall(_.sig.length == numHashes), {
-    val e = entries.find(_.sig.length != numHashes).get
-    s"entry '${e.id}' has a ${e.sig.length}-row signature but '${entries.head.id}' has $numHashes rows; " +
+  private val indexed = entries.toIndexedSeq
+  private val numHashes = indexed.headOption.map(_.sig.length).getOrElse(MinHash.DefaultNumHashes)
+  require(indexed.forall(_.sig.length == numHashes), {
+    val e = indexed.find(_.sig.length != numHashes).get
+    s"entry '${e.id}' has a ${e.sig.length}-row signature but '${indexed.head.id}' has $numHashes rows; " +
       "all signatures must have the same length"
   })
-  require(1 <= bands && bands <= numHashes,
-    s"bands must be in 1..numHashes = 1..$numHashes, got $bands (a band past the signature's end " +
-      "hashes an empty row range, so every entry would collide)")
-  private val rowsPerBand = numHashes / bands
+  require(indexed.isEmpty || numHashes >= 1,
+    s"entry '${indexed.head.id}' has an empty signature; the index needs at least one row")
 
-  // Equi-depth partitions over cardinality-sorted entries.
-  private val partitions: IndexedSeq[Partition] = {
-    val sorted = entries.sortBy(_.card).toIndexedSeq
-    if (sorted.isEmpty) IndexedSeq.empty
-    else {
-      val per = math.max(1, math.ceil(sorted.size.toDouble / numPartitions).toInt)
-      sorted.grouped(per).map { group =>
-        val table = Array.tabulate(bands) { b =>
-          val keys = Array.tabulate(group.size)(i => key(bandHash(group(i).sig, b), i))
-          java.util.Arrays.sort(keys)
-          keys
-        }
-        Partition(group, table)
-      }.toIndexedSeq
+  /** `table(r)` holds row r's keys, sorted. */
+  private val table: Array[Array[Long]] =
+    if (indexed.isEmpty) Array.empty
+    else Array.tabulate(numHashes) { r =>
+      val keys = Array.tabulate(indexed.size)(i => key(rowHash(indexed(i).sig, r), i))
+      java.util.Arrays.sort(keys)
+      keys
     }
-  }
 
-  private def bandHash(sig: Array[Long], band: Int): Int = {
-    val from = band * rowsPerBand
-    val until = from + rowsPerBand
-    var h = MurmurHash3.symmetricSeed + band
-    var i = from
-    while (i < until) { h = MurmurHash3.mix(h, (sig(i) ^ (sig(i) >>> 32)).toInt); i += 1 }
-    MurmurHash3.finalizeHash(h, until - from)
-  }
-
-  /** Entries colliding with `sig` on at least one band, each once. */
+  /** Entries colliding with `sig` on at least one row, each once. */
   private def candidates(sig: Array[Long]): Iterator[Entry] = {
-    require(entries.isEmpty || sig.length == numHashes,
+    require(indexed.isEmpty || sig.length == numHashes,
       s"probe signature has ${sig.length} rows, the index's have $numHashes")
-    if (partitions.isEmpty) return Iterator.empty
-    val hashes = Array.tabulate(bands)(bandHash(sig, _))
-    partitions.iterator.flatMap { p =>
-      val hit = new Array[Boolean](p.entries.size)
-      val out = mutable.ArrayBuffer.empty[Entry]
-      var b = 0
-      while (b < bands) {
-        val keys = p.table(b)
-        var j = firstAtLeast(keys, key(hashes(b), 0))
-        while (j < keys.length && (keys(j) >> 32).toInt == hashes(b)) {
-          val i = keys(j).toInt
-          if (!hit(i)) { hit(i) = true; out += p.entries(i) }
-          j += 1
-        }
-        b += 1
+    val hit = new Array[Boolean](indexed.size)
+    val out = mutable.ArrayBuffer.empty[Entry]
+    var r = 0
+    while (r < table.length) {
+      val keys = table(r)
+      val h = rowHash(sig, r)
+      var j = firstAtLeast(keys, key(h, 0))
+      while (j < keys.length && (keys(j) >> 32).toInt == h) {
+        val i = keys(j).toInt
+        if (!hit(i)) { hit(i) = true; out += indexed(i) }
+        j += 1
       }
-      out
+      r += 1
     }
+    out.iterator
   }
 
   /** Top-k entries by estimated containment of the query set in the entry. */
@@ -110,17 +86,18 @@ final class LshEnsemble(
       .toSeq
       .sortBy { case (id, s) => (-s, id) }
 
-  def size: Int = entries.size
+  def size: Int = indexed.size
 }
 
 object LshEnsemble {
   /** An indexed set: stable id, minhash signature, exact cardinality. */
   final case class Entry(id: String, sig: Array[Long], card: Long)
 
-  /** `table(b)` holds band b's keys, sorted. */
-  private final case class Partition(entries: IndexedSeq[Entry], table: Array[Array[Long]])
+  /** Bucket of signature row `r`: Murmur over the row's one value, seeded per row. */
+  private def rowHash(sig: Array[Long], r: Int): Int =
+    MurmurHash3.finalizeHash(MurmurHash3.mix(MurmurHash3.symmetricSeed + r, (sig(r) ^ (sig(r) >>> 32)).toInt), 1)
 
-  private def key(bandHash: Int, localIdx: Int): Long = (bandHash.toLong << 32) | localIdx
+  private def key(rowHash: Int, idx: Int): Long = (rowHash.toLong << 32) | idx
 
   /** Index of the first key >= `k` in the sorted `keys`. */
   private def firstAtLeast(keys: Array[Long], k: Long): Int = {
@@ -131,9 +108,4 @@ object LshEnsemble {
     }
     lo
   }
-
-  /** Index over raw value sets, one band per signature row. */
-  def build(sets: Seq[(String, Set[String])], numHashes: Int = MinHash.DefaultNumHashes): LshEnsemble =
-    new LshEnsemble(sets.map { case (id, s) => Entry(id, MinHash.signature(s, numHashes), s.size) },
-      bands = numHashes)
 }

@@ -2,7 +2,9 @@ package repro.core
 
 import repro.{SparkSpec, TestFixtures}
 import repro.ekg.Srql
-import repro.joint.TripletTraining
+import repro.joint.{Mlp, TripletTraining}
+import repro.lake.{Lake, LakeTable}
+import repro.profile.{RawColumn, RawDoc}
 
 class CmdlSpec extends SparkSpec {
 
@@ -104,5 +106,40 @@ class CmdlSpec extends SparkSpec {
     val d = cmdl.docProfiles.head
     val c = cmdl.lfs.textCols.head
     assert(cmdl.pairFeatures(d, c).forall(f => f >= 0.0 && f <= 1.0))
+  }
+
+  private val drugNames = Seq("aspirin", "ibuprofen", "naproxen", "codeine", "morphine", "insulin")
+
+  private def tinyLake(tables: Seq[(String, String, String)], docs: Seq[RawDoc] = Seq.empty): Lake =
+    Lake("tiny", tables.map { case (collection, table, column) =>
+      LakeTable(collection, table, Vector(RawColumn(collection, table, column, "text", drugNames)))
+    }.toVector, docs.toVector)
+
+  test("two columns sharing a table.column ref fail construction, naming both collections") {
+    val lake = tinyLake(Seq(("DrugBank", "drugs", "name"), ("ChEMBL", "drugs", "name")))
+    val e = intercept[IllegalArgumentException](new Cmdl(spark, lake))
+    assert(e.getMessage.contains("column ref 'drugs.name' occurs in collections 'DrugBank' and 'ChEMBL'"))
+  }
+
+  test("two documents sharing an id fail construction, naming both collections") {
+    val lake = tinyLake(Seq(("DrugBank", "drugs", "name")),
+      Seq(RawDoc("PubMed", "d1", "aspirin trial", "aspirin eases pain"),
+        RawDoc("Reviews", "d1", "insulin review", "insulin lowers glucose")))
+    val e = intercept[IllegalArgumentException](new Cmdl(spark, lake))
+    assert(e.getMessage.contains("document id 'd1' occurs in collections 'PubMed' and 'Reviews'"))
+  }
+
+  test("srql content search in table mode keeps a dotted column name inside its table") {
+    val srql = new Srql(new Cmdl(spark, tinyLake(Seq(("c", "t", "dose.mg")))))
+    assert(srql.contentSearch("aspirin", "Table", topn = 5).names === Seq("t"))
+  }
+
+  test("srql cross-modal search scores a column without a joint embedding 0 at the model's width") {
+    val c = new Cmdl(spark, tinyLake(Seq(("c", "t", "name"), ("c", "u", "name")),
+      Seq(RawDoc("PubMed", "d1", "aspirin trial", "aspirin eases pain"))))
+    val j = c.Joint(new Mlp(outDim = 8), 0, Vector.empty, Map("d1" -> Array.fill(8)(1f)), Map.empty,
+      TripletTraining.Stats(0, 0, 0, 0, 0, 0))
+    val r = new Srql(c, Some(j)).crossModalSearch("d1", topn = 3)
+    assert(r.items === Seq("t" -> 0.0, "u" -> 0.0))
   }
 }

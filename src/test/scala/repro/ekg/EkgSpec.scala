@@ -21,10 +21,6 @@ class EkgSpec extends AnyFunSuite {
     assert(graph.neighbors("nope", "pkfk").isEmpty)
   }
 
-  test("relTypes lists a node's outgoing relationship types") {
-    assert(graph.relTypes("drugs") === Set("pkfk", "unionable"))
-  }
-
   test("nodes include both endpoints") {
     val g = graph
     assert(g.nodes.contains("pmid1") && g.nodes.contains("syn_drugs_v0"))
@@ -32,15 +28,5 @@ class EkgSpec extends AnyFunSuite {
 
   test("size counts edges") {
     assert(graph.size === 4)
-  }
-
-  test("combinedStrength averages weights across linking relationships") {
-    val g = graph
-    g.add("drugs", "trials", "unionable", 0.3)
-    assert(math.abs(g.combinedStrength("drugs", "trials") - 0.5) < 1e-9)
-  }
-
-  test("combinedStrength of unlinked pair is zero") {
-    assert(graph.combinedStrength("trials", "drugs") === 0.0)
   }
 }

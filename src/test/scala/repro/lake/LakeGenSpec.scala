@@ -181,15 +181,15 @@ class LakeGenSpec extends AnyFunSuite {
     assert(ls.count(_.dtype == "numeric").toDouble / ls.size > 0.5)
   }
 
+  test("column refs are unique even when two 3B renames draw the same name") {
+    // with seed 82, two renamed columns of syn_enzyme_targets_v3 both draw fld88x63
+    val refs = LakeGen.pharma(0.2, seed = 82).rawColumns.map(c => s"${c.table}.${c.column}")
+    assert(refs.diff(refs.distinct).isEmpty)
+  }
+
   test("valueSet lowercases and deduplicates") {
     val lake = Lake("t", Vector(LakeTable("c", "tab",
       Vector(repro.profile.RawColumn("c", "tab", "col", "text", Seq("A", "a", " b "))))), Vector.empty)
     assert(lake.valueSet(ColRef("tab", "col")) === Set("a", "b"))
-  }
-
-  test("columnsDf and docsDf expose the lake as DataFrames") {
-    val spark = repro.SparkSpec.shared
-    assert(pharma.columnsDf(spark).count() === pharma.rawColumns.size)
-    assert(pharma.docsDf(spark).count() === pharma.docs.size)
   }
 }

@@ -1,6 +1,5 @@
 package repro.profile
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.sketch.MinHash
 
@@ -125,15 +124,21 @@ class ProfilerSpec extends SparkSpec {
 
   test("column cardinalities via DataFrame aggregation agree with DuckDB oracle") {
     import spark.implicits._
-    val cols = Seq(textCol, numCol, catCol)
-    val exploded = spark.createDataset(cols)
-      .select($"table" as "tbl", $"column" as "col", explode($"values") as "value")
-    val agg = exploded.groupBy($"tbl", $"col")
-      .agg(countDistinct(lower(trim($"value"))) as "card")
+    // blank and space-only cells, surrounding spaces and mixed case; one column is all blanks
+    val messy = RawColumn("c", "drugs", "brand", "text",
+      Seq("Aspirin", " aspirin ", "ASPIRIN", "", "   ", "Ibuprofen", "ibuprofen ", " Naproxen"))
+    val blank = RawColumn("c", "notes", "remark", "text", Seq("", "  "))
+    val cols = Seq(messy, blank, numCol, catCol)
+    val profiled = Profiler.profileColumns(spark, cols)
+      .map(p => (p.table, p.column, p.rows, p.card)).toDF("tbl", "col", "n_rows", "card")
+    val cells = cols.flatMap(c => c.values.map(v => (c.table, c.column, v))).toDF("tbl", "col", "value")
     Oracle.assertEquivalent(
-      agg,
-      "SELECT tbl, col, COUNT(DISTINCT LOWER(TRIM(value))) AS card FROM cells GROUP BY tbl, col",
-      "cells" -> exploded,
+      profiled,
+      """SELECT tbl, col,
+        |  COUNT(CASE WHEN TRIM(value) <> '' THEN 1 END) AS n_rows,
+        |  COUNT(DISTINCT CASE WHEN TRIM(value) <> '' THEN LOWER(TRIM(value)) END) AS card
+        |FROM cells GROUP BY tbl, col""".stripMargin,
+      "cells" -> cells,
     )
   }
 }

@@ -1,20 +1,25 @@
 package repro.sketch
 
 import org.scalacheck.{Arbitrary, Gen, Prop, Test => Check}
-import org.scalatest.funsuite.AnyFunSuite
 
-class LshEnsembleSpec extends AnyFunSuite {
+import repro.{SparkSpec, TestFixtures}
+
+class LshEnsembleSpec extends SparkSpec {
   import LshEnsembleSpec.World
 
   private def set(lo: Int, hi: Int, prefix: String = "v"): Set[String] =
     (lo to hi).map(prefix + _).toSet
+
+  /** Index over raw value sets, signed with `numHashes` rows. */
+  private def build(sets: Seq[(String, Set[String])], numHashes: Int = MinHash.DefaultNumHashes): LshEnsemble =
+    new LshEnsemble(sets.map { case (id, s) => LshEnsemble.Entry(id, MinHash.signature(s, numHashes), s.size) })
 
   // 40 columns with cardinalities from 20 to 800; c0 ⊂ c1 ⊂ ... by construction
   private val nested: Seq[(String, Set[String])] =
     (0 until 8).map(i => (s"c$i", set(1, 20 * (i + 1) * (i + 1))))
   private val noise: Seq[(String, Set[String])] =
     (0 until 32).map(i => (s"n$i", set(1, 50, s"noise${i}_")))
-  private val index = LshEnsemble.build(nested ++ noise)
+  private val index = build(nested ++ noise)
 
   test("index size matches entries") { assert(index.size === 40) }
 
@@ -74,13 +79,12 @@ class LshEnsembleSpec extends AnyFunSuite {
   }
 
   // Rows drawn from a tiny range so that entries and probes often share a
-  // band's bucket; Long.MaxValue is the empty-set sentinel row.
+  // row's bucket; Long.MaxValue is the empty-set sentinel row.
   private def sigOf(rows: Int): Gen[Array[Long]] = Gen.listOfN(rows, Gen.frequency(
     6 -> Gen.choose(0L, 3L), 1 -> Gen.const(Long.MaxValue), 1 -> Arbitrary.arbitrary[Long])).map(_.toArray)
 
   private val world: Gen[World] = for {
     rows <- Gen.choose(1, 12)
-    bands <- Gen.choose(1, rows)
     partitions <- Gen.choose(1, 5)
     n <- Gen.choose(0, 30)
     entries <- Gen.listOfN(n, for {
@@ -89,12 +93,14 @@ class LshEnsembleSpec extends AnyFunSuite {
       card <- Gen.choose(1L, 200L)
     } yield LshEnsemble.Entry(s"e$id", sig, card))
     probes <- Gen.listOfN(4, Gen.zip(sigOf(rows), Gen.choose(1L, 200L)))
-  } yield World(entries, partitions, bands, probes)
+  } yield World(entries, rows, partitions, probes)
 
+  // The seed partitioned by cardinality with one row per band; one table must
+  // answer as it did for any number of partitions.
   test("query and queryThreshold equal the seed's hash-map index") {
     val prop = Prop.forAll(world, Gen.choose(0, 12), Gen.choose(0.0, 1.0)) { (w, k, threshold) =>
-      val idx = new LshEnsemble(w.entries, w.partitions, w.bands)
-      val seed = new SeedLshEnsemble(w.entries, w.partitions, w.bands)
+      val idx = new LshEnsemble(w.entries)
+      val seed = new SeedLshEnsemble(w.entries, w.partitions, bands = w.rows)
       w.probes.forall { case (sig, card) =>
         idx.query(sig, card, k) == seed.query(sig, card, k) &&
         idx.queryThreshold(sig, card, threshold) == seed.queryThreshold(sig, card, threshold) &&
@@ -118,12 +124,6 @@ class LshEnsembleSpec extends AnyFunSuite {
   private def entries(rows: Int*): Seq[LshEnsemble.Entry] =
     rows.zipWithIndex.map { case (r, i) => LshEnsemble.Entry(s"e$i", MinHash.signature(set(1, 10), r), 10) }
 
-  test("more bands than signature rows fail at construction") {
-    val e = intercept[IllegalArgumentException](new LshEnsemble(entries(64, 64)))
-    assert(e.getMessage.contains("bands must be in 1..numHashes = 1..64, got 256"))
-    intercept[IllegalArgumentException](new LshEnsemble(entries(64), bands = 0))
-  }
-
   test("signatures of different lengths fail at construction") {
     val e = intercept[IllegalArgumentException](new LshEnsemble(entries(256, 256, 128)))
     assert(e.getMessage.contains("entry 'e2' has a 128-row signature but 'e0' has 256 rows"))
@@ -136,15 +136,28 @@ class LshEnsembleSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](idx.queryThreshold(MinHash.signature(set(1, 10), 300), 10, 0.5))
   }
 
+  test("an index needs at least one signature row") {
+    val e = intercept[IllegalArgumentException](new LshEnsemble(entries(0, 0)))
+    assert(e.getMessage.contains("entry 'e0' has an empty signature; the index needs at least one row"))
+  }
+
   test("build with a custom signature length bands every row, so a disjoint probe collides with nothing") {
-    val small = LshEnsemble.build(nested ++ noise, numHashes = 64)
+    val small = build(nested ++ noise, numHashes = 64)
     val q = set(1, 30, "zzz_")
     assert(small.queryThreshold(MinHash.signature(q, 64), q.size, 0.0).isEmpty)
     assert(small.query(MinHash.signature(set(1, 20), 64), 20, 3).head._2 > 0.85)
   }
+
+  test("the syntactic LF's candidates on UK-Open equal the seed's 4-partition index") {
+    val cmdl = TestFixtures.cmdlUkOpen
+    val seed = new SeedLshEnsemble(cmdl.lfs.textCols.map(c => LshEnsemble.Entry(c.ref, c.sig, c.card)))
+    val probes = cmdl.docProfiles.map(d => (d.id, d.sig, d.card)) ++ cmdl.lfs.textCols.map(c => (c.ref, c.sig, c.card))
+    assert(cmdl.docProfiles.nonEmpty && cmdl.lfs.textCols.nonEmpty)
+    for ((id, sig, card) <- probes)
+      assert(cmdl.lfs.lsh.queryThreshold(sig, card, 0.0) === seed.queryThreshold(sig, card, 0.0), id)
+  }
 }
 
 object LshEnsembleSpec {
-  final case class World(entries: Seq[LshEnsemble.Entry], partitions: Int, bands: Int,
-      probes: Seq[(Array[Long], Long)])
+  final case class World(entries: Seq[LshEnsemble.Entry], rows: Int, partitions: Int, probes: Seq[(Array[Long], Long)])
 }
