@@ -167,10 +167,11 @@ object TrainJointJob {
 /** Builds a lake's `Cmdl` and prints what identifies its set-up bit for bit:
   * SHA-256 digests of every column and document profile's `sig`, `contentEmb`
   * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document, of
-  * `syntacticIndex.topK` (k = 10) for every joinable column, and of the full
-  * syntactic-LF candidate set, `lfs.lsh.queryThreshold` at 0.0, for every
-  * document and text column. Two commits whose set-up agrees print the same
-  * digests.
+  * `syntacticIndex.topK` and the Aurum and D3L baselines' `topK` (k = 10,
+  * each index over the whole lake) for every joinable column, of the CMDL and
+  * Aurum PK-FK links of every collection, and of the full syntactic-LF
+  * candidate set, `lfs.lsh.queryThreshold` at 0.0, for every document and
+  * text column. Two commits whose set-up agrees print the same digests.
   *
   * It then times set-up again in the warmed JVM, split into column profiling,
   * document profiling and each index build, and checks that the second
@@ -180,9 +181,11 @@ object TrainJointJob {
   * [mlOpen|ukOpen|pharma] [scale]`.
   */
 object SetupDigestJob {
+  import repro.baseline.{Aurum, D3L}
   import repro.core.Cmdl
   import repro.discover.JoinDiscovery
   import repro.embed.AnnoyIndex
+  import repro.lake.ColRef
   import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
   import repro.sketch.LshEnsemble
   import repro.text.Bm25Index
@@ -204,6 +207,11 @@ object SetupDigestJob {
       "doc metaEmb" -> floats(ds.map(_.metaEmb)),
     )
   }
+
+  /** `query` followed by each ranked answer and the raw bits of its score. */
+  private def rankedLine(query: String, ranked: Seq[(ColRef, Double)]): String =
+    (query +: ranked.map { case (r, s) => f"${r.render}:${java.lang.Double.doubleToRawLongBits(s)}%016x" })
+      .mkString(" ")
 
   private def timed[A](label: String)(f: => A): A = {
     val t0 = System.nanoTime()
@@ -232,12 +240,22 @@ object SetupDigestJob {
         (d.id +: cmdl.lfs.names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
       }
       println(f"${"lfs.probe"}%-18s ${digestLines(probes)}")
-      val joins = joinable.iterator.map { c =>
-        (c.ref +: cmdl.syntacticIndex.topK(c, 10).map { case (r, s) =>
-          f"${r.render}:${java.lang.Double.doubleToRawLongBits(s)}%016x"
-        }).mkString(" ")
-      }
+      val joins = joinable.iterator.map(c => rankedLine(c.ref, cmdl.syntacticIndex.topK(c, 10)))
       println(f"${"syntactic topK"}%-18s ${digestLines(joins)}")
+      for ((name, topK) <- Seq(
+          "aurum topK" -> new Aurum.SyntacticIndex(cmdl.colProfiles).topK _,
+          "d3l topK" -> new D3L.SyntacticIndex(cmdl.colProfiles).topK _)) {
+        println(f"$name%-18s ${digestLines(joinable.iterator.map(c => rankedLine(c.ref, topK(c, 10))))}")
+      }
+      val collections = cmdl.colProfiles.map(_.collection).distinct.sorted
+      for ((name, pkfk) <- Seq[(String, Seq[ColumnProfile] => Set[(ColRef, ColRef)])](
+          "pkfk cmdl" -> (ps => JoinDiscovery.pkfk(ps)), "pkfk aurum" -> (ps => Aurum.pkfk(ps)))) {
+        val links = collections.iterator.map { coll =>
+          (coll +: pkfk(cmdl.profilesIn(coll)).toSeq.map { case (p, f) => p.render + "->" + f.render }.sorted)
+            .mkString(" ")
+        }
+        println(f"$name%-18s ${digestLines(links)}")
+      }
       val lshProbes = cmdl.docProfiles.sortBy(_.id).iterator.map(d => ("doc " + d.id, d.sig, d.card)) ++
         cmdl.lfs.textCols.sortBy(_.ref).iterator.map(c => ("col " + c.ref, c.sig, c.card))
       val candidates = lshProbes.map { case (id, sig, card) =>

@@ -1,10 +1,9 @@
 package repro.baseline
 
+import repro.discover.JoinDiscovery
 import repro.lake.ColRef
 import repro.profile.{ColumnProfile, Tags}
 import repro.sketch.{MinHash, Similarity}
-
-import repro.discover.JoinDiscovery
 
 /** The Aurum [31] baseline, re-implemented from its published scoring rules.
   *
@@ -20,48 +19,24 @@ import repro.discover.JoinDiscovery
   */
 object Aurum {
 
-  final case class PkfkConfig(
-      jaccardThreshold: Double = 0.22,
-      pkUniqueness: Double = 0.95,
-      numericOverlapThreshold: Double = 0.5,
-      numericPkUniqueness: Double = 0.95,
-  )
+  /** PK-FK thresholds: PK-FK Jaccard similarity and PK uniqueness. */
+  private val JaccardThreshold = 0.22
+  private val PkUniqueness = 0.95
 
   /** Syntactic-join ranking by estimated Jaccard similarity. */
   final class SyntacticIndex(profiles: Seq[ColumnProfile]) {
     private val joinable = profiles.filter(_.hasTag(Tags.Joinable)).toIndexedSeq
 
     def topK(query: ColumnProfile, k: Int): Seq[(ColRef, Double)] =
-      joinable.iterator
-        .filter(_.table != query.table)
-        .map(c => (ColRef(c.table, c.column), MinHash.estJaccard(query.sig, c.sig)))
-        .filter(_._2 > 0)
-        .toSeq
-        .sortBy { case (ref, s) => (-s, ref.render) }
-        .take(k)
+      JoinDiscovery.rank(query, joinable.iterator, (q, c) => MinHash.estJaccard(q.sig, c.sig), k)
   }
 
-  /** PK-FK discovery: Jaccard similarity as the inclusion measure. */
-  def pkfk(profiles: Seq[ColumnProfile], cfg: PkfkConfig = PkfkConfig()): Set[(ColRef, ColRef)] = {
-    val cands = profiles.filter(p =>
-      p.hasTag(Tags.Joinable) && (p.dtype == "id" || p.dtype == "numeric") && p.card > 0)
-    val links = for {
-      p <- cands
-      f <- cands
-      if p.table != f.table
-      if isLink(p, f, cfg)
-    } yield (ColRef(p.table, p.column), ColRef(f.table, f.column))
-    links.toSet
-  }
-
-  private def isLink(p: ColumnProfile, f: ColumnProfile, cfg: PkfkConfig): Boolean =
-    if (p.isNumeric || f.isNumeric) {
-      // Same numeric path as CMDL — the reason Table 4's ChEBI rows coincide.
-      p.isNumeric && f.isNumeric &&
-      JoinDiscovery.numericPkfkRule(p, f, cfg.numericOverlapThreshold, cfg.numericPkUniqueness)
-    } else {
-      p.uniqueness >= cfg.pkUniqueness &&
-      MinHash.estJaccard(p.sig, f.sig) >= cfg.jaccardThreshold
+  /** PK-FK discovery: Jaccard similarity as the inclusion measure; numeric
+    * pairs take CMDL's path — the reason Table 4's ChEBI rows coincide.
+    */
+  def pkfk(profiles: Seq[ColumnProfile]): Set[(ColRef, ColRef)] =
+    JoinDiscovery.pkfkLinks(profiles) { (p, f) =>
+      p.uniqueness >= PkUniqueness && MinHash.estJaccard(p.sig, f.sig) >= JaccardThreshold
     }
 
   /** Column-level unionability score: max(schema similarity, Jaccard). */

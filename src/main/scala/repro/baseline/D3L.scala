@@ -1,5 +1,6 @@
 package repro.baseline
 
+import repro.discover.{JoinDiscovery, UnionDiscovery}
 import repro.lake.ColRef
 import repro.profile.{ColumnProfile, Tags}
 import repro.sketch.{MinHash, Similarity}
@@ -23,10 +24,7 @@ object D3L {
     name = Similarity.nameSimilarity(a.column, b.column),
     value = MinHash.estJaccard(a.sig, b.sig),
     format = formatSimilarity(a, b),
-    numeric =
-      if (a.isNumeric && b.isNumeric && !a.numMin.isNaN && !b.numMin.isNaN)
-        Similarity.numericOverlap(a.numMin, a.numMax, b.numMin, b.numMax)
-      else 0.0,
+    numeric = UnionDiscovery.numericScore(a, b),
   )
 
   /** Format similarity from the profiler's shape features (len, digit%, alpha%). */
@@ -60,16 +58,13 @@ object D3L {
     private val joinable = profiles.filter(_.hasTag(Tags.Joinable)).toIndexedSeq
 
     def topK(query: ColumnProfile, k: Int): Seq[(ColRef, Double)] =
-      joinable.iterator
-        .filter(_.table != query.table)
-        .map { c =>
-          val s = signals(query, c)
-          (ColRef(c.table, c.column), if (s.value > 0 || s.numeric > 0) combine(s) else 0.0)
-        }
-        .filter(_._2 > 0)
-        .toSeq
-        .sortBy { case (ref, s) => (-s, ref.render) }
-        .take(k)
+      JoinDiscovery.rank(query, joinable.iterator, joinScore, k)
+  }
+
+  /** Join score: the combined similarity of a pair sharing values or numeric range, else 0. */
+  private def joinScore(a: ColumnProfile, b: ColumnProfile): Double = {
+    val s = signals(a, b)
+    if (s.value > 0 || s.numeric > 0) combine(s) else 0.0
   }
 
   /** Column-level unionability similarity (all four signals, equal weight). */

@@ -8,7 +8,7 @@ import repro.discover.{JoinDiscovery, UnionDiscovery}
 import repro.embed.WordVectors
 import repro.joint.{Mlp, TripletTraining}
 import repro.label.{GoldTuning, LabelingFunctions, SnorkelLite}
-import repro.lake.{ColRef, Lake}
+import repro.lake.Lake
 import repro.profile.{ColumnProfile, DocProfile, Profiler}
 import repro.sketch.MinHash
 import repro.text.Bm25Index
@@ -50,10 +50,6 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
     val set = collections.toSet
     colProfiles.filter(p => set.contains(p.collection))
   }
-
-  /** PK-FK discovery over one database's collections (Table 4). */
-  def pkfk(collection: String, cfg: JoinDiscovery.PkfkConfig = JoinDiscovery.PkfkConfig()): Set[(ColRef, ColRef)] =
-    JoinDiscovery.pkfk(profilesIn(collection), cfg)
 
   // ------------------------------------------------------------------
   // Weak supervision (Fig. 3)
@@ -100,7 +96,6 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       .take(math.max(12, (docProfiles.size * sampleFrac).toInt))
     val cols = rnd.shuffle(lfs.textCols.toVector)
       .take(math.max(12, (lfs.textCols.size * sampleFrac).toInt))
-    val colRefs = cols.map(_.ref).toSet
 
     // one probe per sampled document labels it against every sampled column
     val probes: Seq[(DocProfile, Map[String, Set[String]])] = docs.map(d => (d, lfs.probe(d)))

@@ -4,7 +4,8 @@ import repro.lake.ColRef
 import repro.profile.{ColumnProfile, Tags}
 import repro.sketch.{LshEnsemble, MinHash, Similarity}
 
-/** CMDL joinability discovery (§5.1, Tables 3 and 4).
+/** CMDL joinability discovery (§5.1, Tables 3 and 4), and the join-discovery
+  * loops that the Aurum and D3L baselines share with it.
   *
   * Syntactic join: candidates come from an LSH-Ensemble probe and are ranked
   * by the *maximum-direction* estimated Jaccard set containment — the measure
@@ -14,20 +15,21 @@ import repro.sketch.{LshEnsemble, MinHash, Similarity}
   * PK-FK: a pair (P, F) is emitted when F's values are (estimated) contained
   * in P, P is key-like, and the two columns have similar names (CMDL's schema
   * similarity filter). CMDL's key-ness test is deliberately tolerant of
-  * slightly duplicate-bearing keys (`pkUniqueness` = 0.85), which is what
+  * slightly duplicate-bearing keys (`PkUniqueness` = 0.85), which is what
   * gives it high recall but lower precision on DrugBank (Table 4). Numeric
-  * column pairs share Aurum's numeric-overlap rule verbatim, which is why the
-  * two systems coincide on ChEBI.
+  * column pairs go through one numeric-overlap rule for CMDL and Aurum alike,
+  * which is why the two systems coincide on ChEBI.
   */
 object JoinDiscovery {
 
-  final case class PkfkConfig(
-      contThreshold: Double = 0.75,
-      nameSimThreshold: Double = 0.3,
-      pkUniqueness: Double = 0.85,
-      numericOverlapThreshold: Double = 0.5,
-      numericPkUniqueness: Double = 0.95,
-  )
+  /** CMDL's PK-FK thresholds: FK-in-PK containment, name similarity, PK uniqueness. */
+  private val ContThreshold = 0.75
+  private val NameSimThreshold = 0.3
+  private val PkUniqueness = 0.85
+
+  /** The numeric rule's thresholds: FK range inside the PK's, PK uniqueness. */
+  private val NumericOverlapThreshold = 0.5
+  private val NumericPkUniqueness = 0.95
 
   /** Top-k syntactic-join index over column profiles. */
   final class SyntacticIndex(profiles: Seq[ColumnProfile]) {
@@ -35,51 +37,55 @@ object JoinDiscovery {
     private val byRef: Map[String, ColumnProfile] = joinable.map(p => p.ref -> p).toMap
     private val lsh = new LshEnsemble(joinable.map(p => LshEnsemble.Entry(p.ref, p.sig, p.card)))
 
-    /** Rank candidate columns (other tables) by max-direction containment. */
+    /** Rank every column colliding with `query` in the LSH index by max-direction containment. */
     def topK(query: ColumnProfile, k: Int): Seq[(ColRef, Double)] =
-      lsh.query(query.sig, query.card, k + 32) // over-fetch: same-table hits are dropped
-        .flatMap { case (ref, contQtoC) =>
-          val cand = byRef(ref)
-          if (cand.table == query.table) None
-          else {
-            val contCtoQ = MinHash.estContainment(cand.sig, cand.card, query.sig, query.card)
-            Some((ColRef(cand.table, cand.column), math.max(contQtoC, contCtoQ)))
-          }
-        }
-        .sortBy { case (ref, s) => (-s, ref.render) }
-        .take(k)
+      rank(query, lsh.candidates(query.sig).map(e => byRef(e.id)), UnionDiscovery.containmentScore, k)
   }
 
+  /** The join ranker of CMDL, Aurum and D3L: scores every candidate outside
+    * the query's table, keeps the positive scores and returns the k best by
+    * (-score, ref).
+    */
+  def rank(query: ColumnProfile, candidates: Iterator[ColumnProfile],
+      score: (ColumnProfile, ColumnProfile) => Double, k: Int): Seq[(ColRef, Double)] =
+    candidates
+      .filter(_.table != query.table)
+      .map(c => (ColRef(c.table, c.column), score(query, c)))
+      .filter(_._2 > 0)
+      .toSeq
+      .sortBy { case (ref, s) => (-s, ref.render) }
+      .take(k)
+
   /** PK-FK discovery over one database's profiles — emits (pk, fk) links. */
-  def pkfk(profiles: Seq[ColumnProfile], cfg: PkfkConfig = PkfkConfig()): Set[(ColRef, ColRef)] = {
+  def pkfk(profiles: Seq[ColumnProfile]): Set[(ColRef, ColRef)] =
+    pkfkLinks(profiles) { (p, f) =>
+      p.uniqueness >= PkUniqueness &&
+      MinHash.estContainment(f.sig, f.card, p.sig, p.card) >= ContThreshold &&
+      Similarity.nameSimilarity(p.column, f.column) >= NameSimThreshold
+    }
+
+  /** The PK-FK loop of CMDL and Aurum: every ordered pair of joinable id or
+    * numeric columns in different tables, linked by the numeric rule when
+    * both are numeric, never when one is, and by `isLink` otherwise.
+    */
+  def pkfkLinks(profiles: Seq[ColumnProfile])(
+      isLink: (ColumnProfile, ColumnProfile) => Boolean): Set[(ColRef, ColRef)] = {
     val cands = profiles.filter(p =>
       p.hasTag(Tags.Joinable) && (p.dtype == "id" || p.dtype == "numeric") && p.card > 0)
     val links = for {
       p <- cands
       f <- cands
       if p.table != f.table
-      if isLink(p, f, cfg)
+      if (if (p.isNumeric || f.isNumeric) p.isNumeric && f.isNumeric && numericLink(p, f) else isLink(p, f))
     } yield (ColRef(p.table, p.column), ColRef(f.table, f.column))
     links.toSet
   }
 
-  private def isLink(p: ColumnProfile, f: ColumnProfile, cfg: PkfkConfig): Boolean =
-    if (p.isNumeric || f.isNumeric) {
-      p.isNumeric && f.isNumeric && numericPkfkRule(p, f, cfg.numericOverlapThreshold, cfg.numericPkUniqueness)
-    } else {
-      p.uniqueness >= cfg.pkUniqueness &&
-      MinHash.estContainment(f.sig, f.card, p.sig, p.card) >= cfg.contThreshold &&
-      Similarity.nameSimilarity(p.column, f.column) >= cfg.nameSimThreshold
-    }
-
-  /** The numeric-key rule shared verbatim between CMDL and Aurum (§6.2):
-    * range overlap of the FK inside the PK's range plus a strict key-ness
-    * test on the PK side. Exposed so both systems call the same code.
+  /** Range overlap of the FK inside the PK's range plus a strict key-ness
+    * test on the PK side (§6.2).
     */
-  def numericPkfkRule(p: ColumnProfile, f: ColumnProfile,
-      overlapThreshold: Double, pkUniqueness: Double): Boolean = {
-    if (p.numMin.isNaN || f.numMin.isNaN) return false
-    p.uniqueness >= pkUniqueness &&
-    Similarity.numericOverlap(f.numMin, f.numMax, p.numMin, p.numMax) >= overlapThreshold
-  }
+  private def numericLink(p: ColumnProfile, f: ColumnProfile): Boolean =
+    !p.numMin.isNaN && !f.numMin.isNaN &&
+    p.uniqueness >= NumericPkUniqueness &&
+    Similarity.numericOverlap(f.numMin, f.numMax, p.numMin, p.numMax) >= NumericOverlapThreshold
 }

@@ -1,7 +1,5 @@
 package repro.lake
 
-import repro.profile.RawColumn
-
 /** Statistics of the generated lakes and benchmarks — the reproduction of
   * Table 1 (lake overview) and Table 2 (benchmark overview, including the
   * median query cardinality ratio mQCR).
@@ -47,7 +45,6 @@ object BenchStats {
 
   def table2(pharma: Lake, ukOpen: Lake, mlOpen: Lake): Seq[Table2Row] = {
     val lakes = Seq(pharma, ukOpen, mlOpen)
-    def lakeOf(p: Lake => Boolean): Lake = lakes.find(p).get
 
     val docRows = for {
       lake <- lakes
@@ -128,10 +125,7 @@ object BenchStats {
 
   /** Exact distinct cardinality per column ref of a lake. */
   def columnCards(lake: Lake): Map[ColRef, Long] =
-    lake.rawColumns.map { c =>
-      ColRef(c.table, c.column) ->
-        c.values.map(_.trim.toLowerCase).filter(_.nonEmpty).distinct.size.toLong
-    }.toMap
+    lake.rawColumns.map(c => ColRef(c.table, c.column) -> c.normValues.distinct.size.toLong).toMap
 
   def median(xs: Iterable[Double]): Double = {
     val v = xs.toVector.sorted

@@ -55,11 +55,6 @@ final case class Lake(
 ) {
   def rawColumns: Seq[RawColumn] = tables.flatMap(_.columns)
 
-  def columnsIn(collections: String*): Seq[RawColumn] = {
-    val set = collections.toSet
-    tables.filter(t => set.contains(t.collection)).flatMap(_.columns)
-  }
-
   def tablesIn(collections: String*): Seq[LakeTable] = {
     val set = collections.toSet
     tables.filter(t => set.contains(t.collection))
@@ -73,6 +68,6 @@ final case class Lake(
   def valueSet(ref: ColRef): Set[String] =
     rawColumns
       .find(c => c.table == ref.table && c.column == ref.column)
-      .map(_.values.map(_.trim.toLowerCase).filter(_.nonEmpty).toSet)
+      .map(_.normValues.toSet)
       .getOrElse(Set.empty)
 }

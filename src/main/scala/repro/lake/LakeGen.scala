@@ -98,9 +98,7 @@ object LakeGen {
   def bruteForceJoinGt(cols: Seq[RawColumn], threshold: Double = BruteForceThreshold): Map[ColRef, Set[ColRef]] = {
     val joinable = cols
       .filter(c => c.dtype != "date")
-      .map { c =>
-        (ColRef(c.table, c.column), c.values.map(_.trim.toLowerCase).filter(_.nonEmpty).toSet)
-      }
+      .map(c => (ColRef(c.table, c.column), c.normValues.toSet))
       .filter(_._2.nonEmpty)
       .toIndexedSeq
     val out = mutable.Map.empty[ColRef, mutable.Set[ColRef]]

@@ -39,7 +39,7 @@ object Profiler {
 
   /** Single-column sketching — exposed for tests and driver-side use. */
   def profileColumn(raw: RawColumn): ColumnProfile = {
-    val norm = raw.values.map(_.trim.toLowerCase).filter(_.nonEmpty)
+    val norm = raw.normValues
     val distinct = norm.distinct
     val rows = norm.size.toLong
     val card = distinct.size.toLong

@@ -14,7 +14,10 @@ final case class RawColumn(
     column: String,
     dtype: String, // "text" | "id" | "categorical" | "numeric" | "date"
     values: Seq[String],
-)
+) {
+  /** The values every profile and ground truth counts: trimmed, lowercased, blanks dropped. */
+  def normValues: Seq[String] = values.map(_.trim.toLowerCase).filter(_.nonEmpty)
+}
 
 final case class RawDoc(
     collection: String,

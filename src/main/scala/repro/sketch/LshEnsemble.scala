@@ -48,7 +48,7 @@ final class LshEnsemble(entries: Seq[LshEnsemble.Entry]) {
     }
 
   /** Entries colliding with `sig` on at least one row, each once. */
-  private def candidates(sig: Array[Long]): Iterator[Entry] = {
+  def candidates(sig: Array[Long]): Iterator[Entry] = {
     require(indexed.isEmpty || sig.length == numHashes,
       s"probe signature has ${sig.length} rows, the index's have $numHashes")
     val hit = new Array[Boolean](indexed.size)

@@ -6,9 +6,10 @@ package repro.text
   * CMDL converts each document into a column-style bag of words through
   * tokenization, stopword removal, part-of-speech filtering (retain nouns)
   * and lemmatization, then drops words occurring in a large fraction of the
-  * documents as non-discriminative. The paper uses a Gensim pipeline; this is
-  * a deterministic, dependency-free re-implementation: the POS filter is a
-  * suffix heuristic (drops obvious verb/adverb forms), the lemmatizer a
+  * documents as non-discriminative; that corpus-level step is the DataFrame
+  * filter of `Profiler.profileDocs`. The paper uses a Gensim pipeline; this
+  * is a deterministic, dependency-free re-implementation: the POS filter is
+  * a suffix heuristic (drops obvious verb/adverb forms), the lemmatizer a
   * rule-based English plural/inflection stripper. Both are exact enough for
   * the synthetic lakes, whose vocabulary the generator controls.
   */
@@ -54,15 +55,4 @@ object Tokenizer {
   /** Full per-document pipeline (no corpus-level doc-frequency filter). */
   def bagOfWords(text: String): Seq[String] =
     nounFilter(removeStopwords(tokenize(text))).map(lemmatize)
-
-  /** Corpus-level filter: drop terms present in more than `maxDfFrac` of the
-    * documents — they are non-discriminative for discovery (§3).
-    */
-  def docFreqFilter(bags: Seq[Seq[String]], maxDfFrac: Double = 0.5): Seq[Seq[String]] = {
-    val n = bags.size.toDouble
-    if (n == 0) return bags
-    val df = bags.flatMap(_.distinct).groupBy(identity).view.mapValues(_.size).toMap
-    val keep = (t: String) => df(t) / n <= maxDfFrac
-    bags.map(_.filter(keep))
-  }
 }

@@ -1,7 +1,11 @@
 package repro.discover
 
 import repro.{SparkSpec, TestFixtures}
+import repro.baseline.{Aurum, D3L}
+import repro.core.Cmdl
 import repro.lake.ColRef
+import repro.profile.{ColumnProfile, Profiler, RawColumn, Tags}
+import repro.sketch.{LshEnsemble, MinHash}
 
 class JoinDiscoverySpec extends SparkSpec {
 
@@ -95,4 +99,64 @@ class JoinDiscoverySpec extends SparkSpec {
     val gt = TestFixtures.pharma.pkfkBenches.find(_.id == "2D-DrugBank").get.gt
     assert((links -- gt).nonEmpty, "expected CMDL to over-report on duplicate-ridden DrugBank")
   }
+
+  test("topK ranks a small column wholly inside the query first past k + 32 larger overlaps") {
+    // 60 big columns hold 60% of the query's values and rank above the small
+    // one by query→candidate containment; the small one is contained in the
+    // query, so its max-direction containment is the highest of all
+    val q = (0 until 1000).map(i => s"v$i")
+    val cols = RawColumn("c", "query", "key", "id", q) +:
+      RawColumn("c", "small", "key", "id", q.take(400)) +:
+      (0 until 60).map(t => RawColumn("c", f"big$t%02d", "key", "id", q.take(600) ++ (0 until 1400).map(i => s"f${t}_$i")))
+    val profiles = cols.map(Profiler.profileColumn)
+    val top = new JoinDiscovery.SyntacticIndex(profiles).topK(profiles.head, 10)
+    assert(top.size === 10)
+    assert(top.head._1 === ColRef("small", "key"), top)
+    assert(top.tail.forall(_._2 < top.head._2))
+  }
+
+  test("cmdl, aurum and d3l topK equal the seed's on every joinable column of Pharma and UK-Open") {
+    for (c <- Seq(cmdl, TestFixtures.cmdlUkOpen)) {
+      val seedCmdl = new SeedJoins.CmdlIndex(c.colProfiles)
+      val seedAurum = new SeedJoins.AurumIndex(c.colProfiles)
+      val seedD3l = new SeedJoins.D3lIndex(c.colProfiles)
+      val aurum = new Aurum.SyntacticIndex(c.colProfiles)
+      val d3l = new D3L.SyntacticIndex(c.colProfiles)
+      for (q <- joinable(c)) {
+        assert(c.syntacticIndex.topK(q, 10) === seedCmdl.topK(q, 10).filter(_._2 > 0), q.ref)
+        assert(aurum.topK(q, 10) === seedAurum.topK(q, 10), q.ref)
+        assert(d3l.topK(q, 10) === seedD3l.topK(q, 10), q.ref)
+      }
+    }
+  }
+
+  test("cmdl and aurum pkfk links equal the seed's on every Pharma collection") {
+    val collections = cmdl.colProfiles.map(_.collection).distinct
+    assert(collections.size >= 3)
+    for (coll <- collections) {
+      val ps = cmdl.profilesIn(coll)
+      assert(JoinDiscovery.pkfk(ps) === SeedJoins.cmdlPkfk(ps), coll)
+      assert(Aurum.pkfk(ps) === SeedJoins.aurumPkfk(ps), coll)
+    }
+  }
+
+  test("no topK returns a score of 0 or below, not even for an LSH bucket collision") {
+    // two one-value columns whose minhash values differ but whose LSH buckets
+    // collide on one row: a candidate with estimated containment 0
+    val Seq(a, b) = Seq("ta" -> "k1919", "tb" -> "k7799").map { case (t, v) =>
+      Profiler.profileColumn(RawColumn("c", t, "key", "id", Seq(v)))
+    }
+    assert(new LshEnsemble(Seq(LshEnsemble.Entry(b.ref, b.sig, b.card))).candidates(a.sig).nonEmpty,
+      "the two values no longer share a bucket")
+    assert(MinHash.estJaccard(a.sig, b.sig) === 0.0)
+    assert(new JoinDiscovery.SyntacticIndex(Seq(a, b)).topK(a, 10).isEmpty)
+    for (c <- Seq(cmdl, TestFixtures.cmdlUkOpen)) {
+      val aurum = new Aurum.SyntacticIndex(c.colProfiles)
+      val d3l = new D3L.SyntacticIndex(c.colProfiles)
+      for (q <- joinable(c); topK <- Seq(c.syntacticIndex.topK _, aurum.topK _, d3l.topK _))
+        assert(topK(q, 10).forall(_._2 > 0), q.ref)
+    }
+  }
+
+  private def joinable(c: Cmdl): Seq[ColumnProfile] = c.colProfiles.filter(_.hasTag(Tags.Joinable)).sortBy(_.ref)
 }

@@ -1,7 +1,8 @@
 package repro.profile
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.sketch.MinHash
+import repro.text.{DocFreqOracle, Tokenizer}
 
 class ProfilerSpec extends SparkSpec {
 
@@ -106,6 +107,36 @@ class ProfilerSpec extends SparkSpec {
     // "ubiquitous" lemmatizes to "ubiquitou" and occurs in every doc -> dropped
     assert(ps.forall(p => !p.bag.contains("ubiquitou") && !p.bag.contains("ubiquitous")))
     assert(ps.exists(_.bag.exists(_.startsWith("unique"))))
+  }
+
+  /** Bags by doc id from `profileDocs` and from the doc-frequency oracle. */
+  private def profiledAndOracleBags(docs: Seq[RawDoc], maxDfFrac: Double = Profiler.DefaultMaxDfFrac) = {
+    val bags = DocFreqOracle.docFreqFilter(docs.map(d => Tokenizer.bagOfWords(d.title + " " + d.text)), maxDfFrac)
+    (Profiler.profileDocs(spark, docs, maxDfFrac).map(p => p.id -> p.bag).toMap, docs.map(_.id).zip(bags).toMap)
+  }
+
+  private def docs(texts: String*): Seq[RawDoc] =
+    texts.zipWithIndex.map { case (t, i) => RawDoc("pm", s"d$i", "", t) }
+
+  test("profileDocs bags equal the doc-frequency oracle's on a fixture lake's documents") {
+    val lakeDocs = TestFixtures.pharma.docs
+    val (profiled, oracle) = profiledAndOracleBags(lakeDocs)
+    val unfiltered = lakeDocs.map(d => Tokenizer.bagOfWords(d.title + " " + d.text).size).sum
+    assert(oracle.values.map(_.size).sum < unfiltered, "the filter drops no term of this corpus")
+    assert(profiled === oracle)
+  }
+
+  test("profileDocs keeps a term in exactly maxDfFrac of the documents, as the oracle does") {
+    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra", "kinase zebra", "kinase otter", "heron"), 0.5)
+    assert(profiled === oracle)
+    assert(profiled("d0") === Seq("zebra")) // zebra: 2 of 4 documents; kinase: 3 of 4
+  }
+
+  test("profileDocs keeps a term of one document that only the df > 1 guard saves, as the oracle does") {
+    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra", "kinase otter", "heron", "badger"), 0.1)
+    assert(profiled === oracle)
+    // every term is in more than 10% of the 4 documents; only kinase is in more than one
+    assert(profiled.values.flatten.toSet === Set("zebra", "otter", "heron", "badger"))
   }
 
   test("profileDocs keeps metadata embedding from the title only") {

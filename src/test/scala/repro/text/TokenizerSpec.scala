@@ -68,18 +68,18 @@ class TokenizerSpec extends AnyFunSuite {
 
   test("docFreqFilter removes terms in more than half the docs") {
     val bags = Seq(Seq("common", "a1"), Seq("common", "b1"), Seq("common", "c1"), Seq("d1"))
-    val out = Tokenizer.docFreqFilter(bags, maxDfFrac = 0.5)
+    val out = DocFreqOracle.docFreqFilter(bags, maxDfFrac = 0.5)
     assert(out.flatten.toSet === Set("a1", "b1", "c1", "d1"))
   }
 
   test("docFreqFilter keeps terms at exactly the threshold") {
     val bags = Seq(Seq("half"), Seq("half"), Seq("x"), Seq("y"))
-    val out = Tokenizer.docFreqFilter(bags, maxDfFrac = 0.5)
+    val out = DocFreqOracle.docFreqFilter(bags, maxDfFrac = 0.5)
     assert(out.flatten.count(_ == "half") === 2)
   }
 
   test("docFreqFilter on empty corpus is a no-op") {
-    assert(Tokenizer.docFreqFilter(Seq.empty) === Seq.empty)
+    assert(DocFreqOracle.docFreqFilter(Seq.empty) === Seq.empty)
   }
 
   test("property: tokenize output is always lowercase alphanumeric") {
