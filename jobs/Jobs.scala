@@ -169,9 +169,12 @@ object TrainJointJob {
   * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document, of
   * `syntacticIndex.topK` and the Aurum and D3L baselines' `topK` (k = 10,
   * each index over the whole lake) for every joinable column, of the CMDL and
-  * Aurum PK-FK links of every collection, and of the full syntactic-LF
+  * Aurum PK-FK links of every collection, of the full syntactic-LF
   * candidate set, `lfs.lsh.queryThreshold` at 0.0, for every document and
-  * text column. Two commits whose set-up agrees print the same digests.
+  * text column, and of SRQL's table answers at topn 10: Table-mode
+  * `contentSearch` of every document's title, solo `crossModalSearch` of every
+  * document and `pkfk` of every table. Two commits whose set-up agrees print
+  * the same digests.
   *
   * It then times set-up again in the warmed JVM, split into column profiling,
   * document profiling and each index build, and checks that the second
@@ -184,6 +187,7 @@ object SetupDigestJob {
   import repro.baseline.{Aurum, D3L}
   import repro.core.Cmdl
   import repro.discover.JoinDiscovery
+  import repro.ekg.Srql
   import repro.embed.AnnoyIndex
   import repro.lake.ColRef
   import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
@@ -209,9 +213,11 @@ object SetupDigestJob {
   }
 
   /** `query` followed by each ranked answer and the raw bits of its score. */
-  private def rankedLine(query: String, ranked: Seq[(ColRef, Double)]): String =
-    (query +: ranked.map { case (r, s) => f"${r.render}:${java.lang.Double.doubleToRawLongBits(s)}%016x" })
-      .mkString(" ")
+  private def rankedLine(query: String, ranked: Seq[(String, Double)]): String =
+    (query +: ranked.map { case (r, s) => f"$r:${java.lang.Double.doubleToRawLongBits(s)}%016x" }).mkString(" ")
+
+  private def joinLine(query: String, ranked: Seq[(ColRef, Double)]): String =
+    rankedLine(query, ranked.map { case (r, s) => (r.render, s) })
 
   private def timed[A](label: String)(f: => A): A = {
     val t0 = System.nanoTime()
@@ -240,12 +246,12 @@ object SetupDigestJob {
         (d.id +: cmdl.lfs.names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
       }
       println(f"${"lfs.probe"}%-18s ${digestLines(probes)}")
-      val joins = joinable.iterator.map(c => rankedLine(c.ref, cmdl.syntacticIndex.topK(c, 10)))
+      val joins = joinable.iterator.map(c => joinLine(c.ref, cmdl.syntacticIndex.topK(c, 10)))
       println(f"${"syntactic topK"}%-18s ${digestLines(joins)}")
       for ((name, topK) <- Seq(
           "aurum topK" -> new Aurum.SyntacticIndex(cmdl.colProfiles).topK _,
           "d3l topK" -> new D3L.SyntacticIndex(cmdl.colProfiles).topK _)) {
-        println(f"$name%-18s ${digestLines(joinable.iterator.map(c => rankedLine(c.ref, topK(c, 10))))}")
+        println(f"$name%-18s ${digestLines(joinable.iterator.map(c => joinLine(c.ref, topK(c, 10))))}")
       }
       val collections = cmdl.colProfiles.map(_.collection).distinct.sorted
       for ((name, pkfk) <- Seq[(String, Seq[ColumnProfile] => Set[(ColRef, ColRef)])](
@@ -258,12 +264,16 @@ object SetupDigestJob {
       }
       val lshProbes = cmdl.docProfiles.sortBy(_.id).iterator.map(d => ("doc " + d.id, d.sig, d.card)) ++
         cmdl.lfs.textCols.sortBy(_.ref).iterator.map(c => ("col " + c.ref, c.sig, c.card))
-      val candidates = lshProbes.map { case (id, sig, card) =>
-        (id +: cmdl.lfs.lsh.queryThreshold(sig, card, 0.0).map { case (ref, s) =>
-          f"$ref:${java.lang.Double.doubleToRawLongBits(s)}%016x"
-        }).mkString(" ")
-      }
+      val candidates = lshProbes.map { case (id, sig, card) => rankedLine(id, cmdl.lfs.lsh.queryThreshold(sig, card, 0.0)) }
       println(f"${"lsh candidates"}%-18s ${digestLines(candidates)}")
+      val srql = new Srql(cmdl)
+      val docOrder = cmdl.docProfiles.sortBy(_.id)
+      val tables = cmdl.colProfiles.map(_.table).distinct.sorted
+      println(f"${"srql content"}%-18s ${digestLines(docOrder.iterator.map(d =>
+        rankedLine(d.id, srql.contentSearch(d.title, "Table", 10).items)))}")
+      println(f"${"srql crossmodal"}%-18s ${digestLines(docOrder.iterator.map(d =>
+        rankedLine(d.id, srql.crossModalSearch(d.id, 10).items)))}")
+      println(f"${"srql pkfk"}%-18s ${digestLines(tables.iterator.map(t => rankedLine(t, srql.pkfk(t, 10).items)))}")
 
       println("warm set-up split:")
       val cols = timed("profile columns")(Profiler.profileColumns(spark, lake.rawColumns))

@@ -1,63 +1,43 @@
 package repro.discover
 
-import repro.embed.WordVectors
-import repro.lake.ColRef
-import repro.profile.{ColumnProfile, DocProfile, Tags}
-import repro.sketch.MinHash
-import repro.text.Bm25Index
+import scala.collection.mutable
 
-/** Cross-modal Doc→Table discovery (§6.1).
+import repro.embed.WordVectors
+import repro.profile.{ColumnProfile, Tags}
+
+/** Cross-modal Doc→Table discovery (§6.1), and the table ranker behind every
+  * table-level answer of CMDL.
   *
-  * Every method scores document-column relatedness first, then aggregates
-  * column scores to the table level (max-pooling — a table is as related as
-  * its most related column, per the Doc-to-Table relationship definition of
-  * §2.1). The CMDL variants differ only in the embedding space used (solo vs
-  * joint); the baselines are the sketch/index probes of §6.1.
+  * A table is as related as its most related column (the Doc-to-Table
+  * relationship of §2.1), so each method scores columns and `rankTables`
+  * max-pools the scores to tables. The CMDL variants differ only in the
+  * embedding space (solo vs joint); a baseline is `rank` with its own column
+  * score (MinHash containment) or `rankTables` over an index's column hits
+  * (BM25, LM-Dirichlet).
   */
 object DocToTable {
 
-  /** Aggregate per-column scores to ranked tables. */
-  def aggregateToTables(colScores: Seq[(ColRef, Double)], k: Int): Seq[(String, Double)] =
-    colScores
-      .groupBy(_._1.table)
-      .view.mapValues(_.map(_._2).max)
-      .toSeq
-      .sortBy { case (t, s) => (-s, t) }
-      .take(k)
+  /** Each table's best score, ranked by (-score, table), the top k. */
+  def rankTables(scores: IterableOnce[(String, Double)], k: Int): Seq[(String, Double)] = {
+    val best = mutable.HashMap.empty[String, Double]
+    scores.iterator.foreach { case (t, s) =>
+      if (best.get(t).forall(java.lang.Double.compare(s, _) > 0)) best(t) = s
+    }
+    best.toSeq.sortBy { case (t, s) => (-s, t) }.take(k)
+  }
+
+  /** Tables ranked by their text-searchable columns' `score`. */
+  def rank(cols: Seq[ColumnProfile], score: ColumnProfile => Double, k: Int): Seq[(String, Double)] =
+    rankTables(cols.iterator.filter(_.hasTag(Tags.TextSearch)).map(c => (c.table, score(c))), k)
 
   /** Embedding-based ranking (CMDL solo or joint): cosine of the document's
-    * embedding against every text-searchable column's embedding.
+    * embedding against every text-searchable column's embedding, floored at 0.
     */
   def embeddingRank(
       docEmb: Array[Float],
       cols: Seq[ColumnProfile],
       colEmb: ColumnProfile => Array[Float],
       k: Int,
-  ): Seq[(String, Double)] = {
-    val colScores = cols
-      .filter(_.hasTag(Tags.TextSearch))
-      .map(c => (ColRef(c.table, c.column), math.max(0.0, WordVectors.cosine(docEmb, colEmb(c)))))
-    aggregateToTables(colScores, k)
-  }
-
-  /** Containment-based baseline: estimated containment of the doc's bag in
-    * each column's value set (the LSHEnsemble labeling-function measure).
-    */
-  def containmentRank(doc: DocProfile, cols: Seq[ColumnProfile], k: Int): Seq[(String, Double)] = {
-    val colScores = cols
-      .filter(_.hasTag(Tags.TextSearch))
-      .map(c => (ColRef(c.table, c.column), MinHash.estContainment(doc.sig, doc.card, c.sig, c.card)))
-    aggregateToTables(colScores, k)
-  }
-
-  /** Elastic-search baseline over column content or metadata bags: BM25 or
-    * LM-Dirichlet, with the document's bag as the query.
-    */
-  def keywordRank(doc: DocProfile, index: Bm25Index, colOf: String => ColRef,
-      k: Int, lmDirichlet: Boolean = false): Seq[(String, Double)] = {
-    val hits =
-      if (lmDirichlet) index.queryLmDirichlet(doc.bag, k * 8)
-      else index.query(doc.bag, k * 8)
-    aggregateToTables(hits.map { case (id, s) => (colOf(id), s) }, k)
-  }
+  ): Seq[(String, Double)] =
+    rank(cols, c => math.max(0.0, WordVectors.cosine(docEmb, colEmb(c))), k)
 }

@@ -90,13 +90,10 @@ object UnionDiscovery {
     def topK(queryTable: String, k: Int, score: ColumnScorer): Seq[(String, Double)] = {
       val qCols = byTable.getOrElse(queryTable, Seq.empty)
       if (qCols.isEmpty) return Seq.empty
-      byTable.iterator
+      DocToTable.rankTables(byTable.iterator
         .filter(_._1 != queryTable)
         .map { case (t, cols) => (t, tableScore(qCols, cols, score)) }
-        .filter(_._2 > 0)
-        .toSeq
-        .sortBy { case (t, s) => (-s, t) }
-        .take(k)
+        .filter(_._2 > 0), k)
     }
   }
 }

@@ -2,12 +2,13 @@ package repro.ekg
 
 import repro.core.Cmdl
 import repro.discover.{DocToTable, UnionDiscovery}
-import repro.lake.ColRef
 import repro.text.Tokenizer
 
 /** The SRQL discovery interface (§5.2) with CMDL's extensions: document DEs,
   * cross-modal search, and DRS result sets. Mirrors the five-step pipeline
-  * of Fig. 1 / §5.2's example queries.
+  * of Fig. 1 / §5.2's example queries. Every table-level answer is
+  * `DocToTable.rankTables` over column (or table) scores, and every answer is
+  * written to the EKG as it is returned.
   */
 final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
 
@@ -26,25 +27,22 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
     */
   val ekg = new Ekg
 
-  /** Q1-style keyword search. Mode "Text" searches documents; mode "Table"
-    * searches tabular columns and returns table DEs.
+  /** Q1-style keyword search. Mode "Text" searches documents by BM25; mode
+    * "Table" ranks tables by their best BM25 column hit.
     */
   def contentSearch(value: String, mode: String, topn: Int = 10): Drs = {
     val terms = Tokenizer.bagOfWords(value)
-    mode match {
-      case "Text" =>
-        val hits = cmdl.bm25Docs.query(terms, topn)
-        hits.foreach { case (d, s) => ekg.add(s"kw:$value", d, "keyword", s) }
-        Drs(hits, s"content_search($value, Text)")
-      case _ =>
-        val colHits = cmdl.lfs.bm25Content.query(terms, topn * 6)
-        val tables = DocToTable.aggregateToTables(colHits.map { case (ref, s) =>
-          val c = cmdl.colByRef(ref)
-          (ColRef(c.table, c.column), s)
+    val hits = mode match {
+      case "Text" => cmdl.bm25Docs.query(terms, topn)
+      case "Table" =>
+        val index = cmdl.lfs.bm25Content
+        DocToTable.rankTables(index.query(terms, index.size).iterator.map { case (ref, s) =>
+          (cmdl.colByRef(ref).table, s)
         }, topn)
-        tables.foreach { case (t, s) => ekg.add(s"kw:$value", t, "keyword", s) }
-        Drs(tables, s"content_search($value, Table)")
+      case other =>
+        throw new IllegalArgumentException(s"unknown content_search mode '$other'; expected Text or Table")
     }
+    record(s"kw:$value", "keyword", hits, s"content_search($value, $mode)")
   }
 
   /** Q2/Q3-style cross-modal search: tables related to a document (by id),
@@ -61,25 +59,25 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
       case None =>
         DocToTable.embeddingRank(doc.contentEmb, cmdl.lfs.textCols, _.contentEmb, topn)
     }
-    tables.foreach { case (t, s) => ekg.add(docId, t, "crossmodal", s) }
-    Drs(tables, s"crossModal_search($docId)")
+    record(docId, "crossmodal", tables, s"crossModal_search($docId)")
   }
 
-  /** Q4-style joinability: top joinable tables for a table, aggregated from
-    * the containment-ranked column joins.
+  /** Q4-style joinability: tables ranked by their best containment-ranked
+    * join with any column of `table`.
     */
   def pkfk(table: String, topn: Int): Drs = {
-    val cols = cmdl.colProfiles.filter(_.table == table)
-    val colHits = cols.flatMap(c => cmdl.syntacticIndex.topK(c, topn * 3))
-    val tables = DocToTable.aggregateToTables(colHits, topn)
-    tables.foreach { case (t, s) => ekg.add(table, t, "pkfk", s) }
-    Drs(tables, s"pkfk($table)")
+    val joins = cmdl.colProfiles.iterator.filter(_.table == table)
+      .flatMap(c => cmdl.syntacticIndex.topK(c, Int.MaxValue))
+    record(table, "pkfk", DocToTable.rankTables(joins.map { case (ref, s) => (ref.table, s) }, topn), s"pkfk($table)")
   }
 
   /** Q5-style unionability: top unionable tables under the ensemble measure. */
-  def unionable(table: String, topn: Int): Drs = {
-    val hits = cmdl.unionIndex.topK(table, topn, UnionDiscovery.ensembleScore)
-    hits.foreach { case (t, s) => ekg.add(table, t, "unionable", s) }
-    Drs(hits, s"Unionable($table)")
+  def unionable(table: String, topn: Int): Drs =
+    record(table, "unionable", cmdl.unionIndex.topK(table, topn, UnionDiscovery.ensembleScore), s"Unionable($table)")
+
+  /** Writes each answer to the EKG as a `relType` edge from `src`, then wraps the answers in a DRS. */
+  private def record(src: String, relType: String, items: Seq[(String, Double)], provenance: String): Drs = {
+    items.foreach { case (dst, s) => ekg.add(src, dst, relType, s) }
+    Drs(items, provenance)
   }
 }

@@ -8,7 +8,7 @@ import scala.util.hashing.MurmurHash3
   * Each signature row is its own band (b = numHashes, r = 1): a containment
   * probe from a small query into a large domain has a tiny Jaccard, so
   * multi-row bands would rarely collide. A probe collects the entries that
-  * collide with the query on at least one row, ranks them by the MinHash
+  * share a value with the query on at least one row, ranks them by the MinHash
   * containment estimate (query → candidate) and returns the top-k. Threshold
   * probes (`queryThreshold`) keep every candidate whose estimate clears the
   * threshold — the paper notes this threshold-based behaviour is why
@@ -22,7 +22,8 @@ import scala.util.hashing.MurmurHash3
   *
   * Row r is one sorted `Array[Long]` of `rowHash << 32 | idx` keys, so a
   * bucket is the run of keys sharing the high half and a probe finds it by
-  * binary search. Every entry must carry a signature of the same length, with
+  * binary search. A bucket entry counts only if it holds the probe's 64-bit
+  * row value, so a collision of the 32-bit row hashes adds no candidate. Every entry must carry a signature of the same length, with
   * at least one row; probes must use that length too.
   */
 final class LshEnsemble(entries: Seq[LshEnsemble.Entry]) {
@@ -47,7 +48,7 @@ final class LshEnsemble(entries: Seq[LshEnsemble.Entry]) {
       keys
     }
 
-  /** Entries colliding with `sig` on at least one row, each once. */
+  /** Entries sharing at least one row value with `sig`, each once. */
   def candidates(sig: Array[Long]): Iterator[Entry] = {
     require(indexed.isEmpty || sig.length == numHashes,
       s"probe signature has ${sig.length} rows, the index's have $numHashes")
@@ -60,7 +61,7 @@ final class LshEnsemble(entries: Seq[LshEnsemble.Entry]) {
       var j = firstAtLeast(keys, key(h, 0))
       while (j < keys.length && (keys(j) >> 32).toInt == h) {
         val i = keys(j).toInt
-        if (!hit(i)) { hit(i) = true; out += indexed(i) }
+        if (!hit(i) && indexed(i).sig(r) == sig(r)) { hit(i) = true; out += indexed(i) }
         j += 1
       }
       r += 1

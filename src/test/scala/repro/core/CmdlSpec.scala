@@ -66,13 +66,13 @@ class CmdlSpec extends SparkSpec {
   }
 
   test("cross-modal search via joint space returns related tables for a linked doc") {
-    val bench = TestFixtures.pharma.docBenches.head
-    val (docId, gtCols) = bench.docColumns.toSeq.sortBy(_._1).head
+    val linked = TestFixtures.pharma.docBenches.head.docColumns.toSeq.sortBy(_._1)
+    assert(linked.nonEmpty)
     val srql = new Srql(cmdl, Some(joint))
-    val r = srql.crossModalSearch(docId, topn = 8)
-    assert(r.size > 0)
-    assert(r.names.toSet.intersect(gtCols.map(_.table)).nonEmpty ||
-      r.names.nonEmpty) // joint model quality is probabilistic at tiny scale
+    for ((docId, gtCols) <- linked) {
+      val r = srql.crossModalSearch(docId, topn = 8)
+      assert(r.names.toSet.intersect(gtCols.map(_.table)).nonEmpty, s"$docId: ${r.names} misses ${gtCols.map(_.table)}")
+    }
   }
 
   test("srql content search over text mode returns documents") {
@@ -97,6 +97,26 @@ class CmdlSpec extends SparkSpec {
     assert(srql.ekg.size > 0)
   }
 
+  test("a repeated srql query leaves the EKG's size unchanged") {
+    val srql = new Srql(cmdl)
+    val doc = cmdl.docProfiles.minBy(_.id)
+    def ask(): Unit = {
+      srql.contentSearch(TestFixtures.pharma.docs.head.title, "Text")
+      srql.contentSearch(TestFixtures.pharma.docs.head.title, "Table")
+      srql.pkfk(srql.crossModalSearch(doc.id, topn = 5)(1), topn = 5)
+    }
+    ask()
+    val edges = srql.ekg.size
+    assert(edges > 0)
+    ask()
+    assert(srql.ekg.size === edges)
+  }
+
+  test("srql content search rejects a mode other than Text or Table, naming both") {
+    val e = intercept[IllegalArgumentException](new Srql(cmdl).contentSearch("aspirin", "table"))
+    assert(e.getMessage.contains("unknown content_search mode 'table'; expected Text or Table"))
+  }
+
   test("srql crossModalSearch rejects unknown documents") {
     val srql = new Srql(cmdl)
     intercept[IllegalArgumentException] { srql.crossModalSearch("ghost", 3) }
@@ -110,9 +130,12 @@ class CmdlSpec extends SparkSpec {
 
   private val drugNames = Seq("aspirin", "ibuprofen", "naproxen", "codeine", "morphine", "insulin")
 
-  private def tinyLake(tables: Seq[(String, String, String)], docs: Seq[RawDoc] = Seq.empty): Lake =
-    Lake("tiny", tables.map { case (collection, table, column) =>
-      LakeTable(collection, table, Vector(RawColumn(collection, table, column, "text", drugNames)))
+  /** One table per (collection, table), in order of first mention, each column holding `drugNames`. */
+  private def tinyLake(columns: Seq[(String, String, String)], docs: Seq[RawDoc] = Seq.empty): Lake =
+    Lake("tiny", columns.map(c => (c._1, c._2)).distinct.map { case (collection, table) =>
+      LakeTable(collection, table, columns.collect { case (`collection`, `table`, column) =>
+        RawColumn(collection, table, column, "text", drugNames)
+      }.toVector)
     }.toVector, docs.toVector)
 
   test("two columns sharing a table.column ref fail construction, naming both collections") {
@@ -132,6 +155,19 @@ class CmdlSpec extends SparkSpec {
   test("srql content search in table mode keeps a dotted column name inside its table") {
     val srql = new Srql(new Cmdl(spark, tinyLake(Seq(("c", "t", "dose.mg")))))
     assert(srql.contentSearch("aspirin", "Table", topn = 5).names === Seq("t"))
+  }
+
+  test("srql content search ranks every column hit, not the first 6 per table asked for") {
+    // 77 equal hits: 60 of them would cover only 9 tables
+    val tables = (0 until 11).map(t => f"t$t%02d")
+    val srql = new Srql(new Cmdl(spark, tinyLake(for (t <- tables; c <- 0 until 7) yield ("c", t, s"name$c"))))
+    assert(srql.contentSearch("aspirin", "Table", topn = 10).names === tables.take(10))
+  }
+
+  test("srql pkfk ranks every join, so six equal columns of one table do not hide the next table") {
+    val srql = new Srql(new Cmdl(spark, tinyLake(
+      Seq(("c", "q", "key"), ("c", "b", "key")) ++ (0 until 6).map(i => ("c", "a", s"key$i")))))
+    assert(srql.pkfk("q", topn = 2).items === Seq("a" -> 1.0, "b" -> 1.0))
   }
 
   test("srql cross-modal search scores a column without a joint embedding 0 at the model's width") {

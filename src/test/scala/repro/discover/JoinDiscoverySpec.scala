@@ -5,7 +5,7 @@ import repro.baseline.{Aurum, D3L}
 import repro.core.Cmdl
 import repro.lake.ColRef
 import repro.profile.{ColumnProfile, Profiler, RawColumn, Tags}
-import repro.sketch.{LshEnsemble, MinHash}
+import repro.sketch.{LshEnsemble, MinHash, SeedLshEnsemble}
 
 class JoinDiscoverySpec extends SparkSpec {
 
@@ -141,13 +141,16 @@ class JoinDiscoverySpec extends SparkSpec {
   }
 
   test("no topK returns a score of 0 or below, not even for an LSH bucket collision") {
-    // two one-value columns whose minhash values differ but whose LSH buckets
-    // collide on one row: a candidate with estimated containment 0
+    // two one-value columns whose minhash values differ but whose 32-bit LSH
+    // buckets collide on one row: the seed's index made the pair a candidate
+    // with estimated containment 0; the index compares row values, so it does not
     val Seq(a, b) = Seq("ta" -> "k1919", "tb" -> "k7799").map { case (t, v) =>
       Profiler.profileColumn(RawColumn("c", t, "key", "id", Seq(v)))
     }
-    assert(new LshEnsemble(Seq(LshEnsemble.Entry(b.ref, b.sig, b.card))).candidates(a.sig).nonEmpty,
+    val entries = Seq(LshEnsemble.Entry(b.ref, b.sig, b.card))
+    assert(new SeedLshEnsemble(entries).queryThreshold(a.sig, a.card, 0.0).nonEmpty,
       "the two values no longer share a bucket")
+    assert(new LshEnsemble(entries).candidates(a.sig).isEmpty)
     assert(MinHash.estJaccard(a.sig, b.sig) === 0.0)
     assert(new JoinDiscovery.SyntacticIndex(Seq(a, b)).topK(a, 10).isEmpty)
     for (c <- Seq(cmdl, TestFixtures.cmdlUkOpen)) {

@@ -29,4 +29,16 @@ class EkgSpec extends AnyFunSuite {
   test("size counts edges") {
     assert(graph.size === 4)
   }
+
+  test("re-adding an edge keeps size and neighbors, with the last weight written") {
+    val g = graph
+    g.add("drugs", "trials", "pkfk", 0.7)
+    assert(g.size === 4)
+    assert(g.neighbors("drugs", "pkfk") === Seq("enzyme_targets" -> 0.9, "trials" -> 0.7))
+    g.add("drugs", "trials", "pkfk", 0.95)
+    assert(g.size === 4)
+    assert(g.neighbors("drugs", "pkfk") === Seq("trials" -> 0.95, "enzyme_targets" -> 0.9))
+    g.add("drugs", "trials", "unionable", 0.5)
+    assert(g.size === 5)
+  }
 }

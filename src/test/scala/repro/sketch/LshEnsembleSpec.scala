@@ -96,11 +96,13 @@ class LshEnsembleSpec extends SparkSpec {
   } yield World(entries, rows, partitions, probes)
 
   // The seed partitioned by cardinality with one row per band; one table must
-  // answer as it did for any number of partitions.
+  // answer as it did for any number of partitions, less the bucket collisions
+  // that share no row value (arbitrary Longs include -1 and Long.MinValue,
+  // whose row hashes equal those of 0 and Long.MaxValue).
   test("query and queryThreshold equal the seed's hash-map index") {
     val prop = Prop.forAll(world, Gen.choose(0, 12), Gen.choose(0.0, 1.0)) { (w, k, threshold) =>
       val idx = new LshEnsemble(w.entries)
-      val seed = new SeedLshEnsemble(w.entries, w.partitions, bands = w.rows)
+      val seed = new SeedLshEnsemble(w.entries, w.partitions, bands = w.rows, sharedRowsOnly = true)
       w.probes.forall { case (sig, card) =>
         idx.query(sig, card, k) == seed.query(sig, card, k) &&
         idx.queryThreshold(sig, card, threshold) == seed.queryThreshold(sig, card, threshold) &&
@@ -109,6 +111,16 @@ class LshEnsembleSpec extends SparkSpec {
     }
     val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
     assert(res.passed, res)
+  }
+
+  test("a row-hash collision without a shared row value is no candidate; a shared Long.MaxValue row is one") {
+    val Seq(zero, minusOne, min, max) = Seq(0L, -1L, Long.MinValue, Long.MaxValue).map(v => Array.fill(4)(v))
+    for ((entry, probe) <- Seq(minusOne -> zero, min -> max)) {
+      val e = Seq(LshEnsemble.Entry("e", entry, 10))
+      assert(new SeedLshEnsemble(e, bands = 4).queryThreshold(probe, 10, 0.0) === Seq("e" -> 0.0))
+      assert(new LshEnsemble(e).candidates(probe).isEmpty)
+    }
+    assert(new LshEnsemble(Seq(LshEnsemble.Entry("e", max, 10))).candidates(max).map(_.id).toSeq === Seq("e"))
   }
 
   test("query equals the seed's index on the nested and noise columns") {

@@ -32,12 +32,15 @@ object SeedMinHash {
 
 /** The seed's LSH Ensemble, kept as a test oracle: one hash map per
   * partition from (band, bucket) to the entries' local indexes. The
-  * sorted-array `LshEnsemble` must answer every probe exactly as it does.
+  * sorted-array `LshEnsemble` must answer every probe exactly as it does
+  * with `sharedRowsOnly`, which drops the candidates whose bucket collides
+  * with the probe's on every row where the two hold different values.
   */
 final class SeedLshEnsemble(
     entries: Seq[LshEnsemble.Entry],
     numPartitions: Int = 4,
     bands: Int = MinHash.DefaultNumHashes,
+    sharedRowsOnly: Boolean = false,
 ) {
   import LshEnsemble.Entry
 
@@ -75,6 +78,7 @@ final class SeedLshEnsemble(
         .flatMap(b => table.getOrElse((b, bandHash(sig, b)), Array.empty[Int]))
         .filter(seen.add)
         .map(group)
+        .filter(e => !sharedRowsOnly || sig.indices.exists(r => e.sig(r) == sig(r)))
     }
 
   def query(sig: Array[Long], card: Long, k: Int): Seq[(String, Double)] =
