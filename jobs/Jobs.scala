@@ -42,6 +42,10 @@ object Jobs {
     for (x <- xs) md.update((x + "\n").getBytes(java.nio.charset.StandardCharsets.UTF_8))
   }
 
+  /** `query` followed by each ranked answer and the raw bits of its score. */
+  def rankedLine(query: String, ranked: Seq[(String, Double)]): String =
+    (query +: ranked.map { case (r, s) => f"$r:${java.lang.Double.doubleToRawLongBits(s)}%016x" }).mkString(" ")
+
   private def sha256(feed: java.security.MessageDigest => Unit): String = {
     val md = java.security.MessageDigest.getInstance("SHA-256")
     feed(md)
@@ -117,8 +121,10 @@ object Table6Job {
 
 /** Trains the joint model on one lake and prints what identifies the result
   * bit for bit: the epoch count, a SHA-256 digest of the raw IEEE-754 bits of
-  * the loss history and one of the joint embeddings of every DE. Two commits
-  * that train the same model print the same digests. It also splits the
+  * the loss history, one of the joint embeddings of every DE and one of the
+  * joint-space `crossModalSearch` answer (tables and raw score bits, topn 10)
+  * of every document. Two commits that train the same model print the same
+  * digests. It also splits the
   * training wall time into weak-label evaluations, forward passes for hard
   * sampling and SGD steps.
   *
@@ -129,8 +135,9 @@ object Table6Job {
   */
 object TrainJointJob {
   import repro.core.Cmdl
+  import repro.ekg.Srql
   import repro.joint.TripletTraining
-  import Jobs.digest
+  import Jobs.{digest, digestLines, rankedLine}
 
   def main(args: Array[String]): Unit = {
     val lakeName = args.headOption.getOrElse("mlOpen")
@@ -154,6 +161,9 @@ object TrainJointJob {
       val embs = (joint.docEmb ++ joint.colEmb).toSeq.sortBy(_._1).iterator.flatMap(_._2.iterator.map(_.toDouble))
       println(s"loss digest       ${digest(joint.lossHistory.iterator)}")
       println(s"embedding digest  ${digest(embs)}")
+      val srql = new Srql(cmdl, Some(joint))
+      println(s"joint crossmodal  ${digestLines(cmdl.docProfiles.sortBy(_.id).iterator.map(d =>
+        rankedLine(d.id, srql.crossModalSearch(d.id, 10).items)))}")
       println(f"final loss        ${joint.lossHistory.lastOption.getOrElse(0.0)}%.17g " +
         f"(bits ${joint.lossHistory.lastOption.map(java.lang.Double.doubleToRawLongBits).getOrElse(0L)}%016x)")
       println(f"train + apply     $wallS%.3f s")
@@ -167,7 +177,8 @@ object TrainJointJob {
 /** Builds a lake's `Cmdl` and prints what identifies its set-up bit for bit:
   * SHA-256 digests of every column and document profile's `sig`, `contentEmb`
   * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document, of
-  * `syntacticIndex.topK` and the Aurum and D3L baselines' `topK` (k = 10,
+  * `lfs.annoy.query` (k = 10, ids and raw score bits) for the content
+  * embedding of every document and text column, of `syntacticIndex.topK` and the Aurum and D3L baselines' `topK` (k = 10,
   * each index over the whole lake) for every joinable column, of the CMDL and
   * Aurum PK-FK links of every collection, of the full syntactic-LF
   * candidate set, `lfs.lsh.queryThreshold` at 0.0, for every document and
@@ -193,7 +204,7 @@ object SetupDigestJob {
   import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
   import repro.sketch.LshEnsemble
   import repro.text.Bm25Index
-  import Jobs.{digest, digestLines, digestLongs}
+  import Jobs.{digest, digestLines, digestLongs, rankedLine}
 
   /** Digest lines of the sketches of both modalities, by kind. */
   def profileDigests(cols: Seq[ColumnProfile], docs: Seq[DocProfile]): Seq[(String, String)] = {
@@ -211,10 +222,6 @@ object SetupDigestJob {
       "doc metaEmb" -> floats(ds.map(_.metaEmb)),
     )
   }
-
-  /** `query` followed by each ranked answer and the raw bits of its score. */
-  private def rankedLine(query: String, ranked: Seq[(String, Double)]): String =
-    (query +: ranked.map { case (r, s) => f"$r:${java.lang.Double.doubleToRawLongBits(s)}%016x" }).mkString(" ")
 
   private def joinLine(query: String, ranked: Seq[(ColRef, Double)]): String =
     rankedLine(query, ranked.map { case (r, s) => (r.render, s) })
@@ -246,6 +253,10 @@ object SetupDigestJob {
         (d.id +: cmdl.lfs.names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
       }
       println(f"${"lfs.probe"}%-18s ${digestLines(probes)}")
+      val embProbes = cmdl.docProfiles.sortBy(_.id).iterator.map(d => ("doc " + d.id, d.contentEmb)) ++
+        cmdl.lfs.textCols.sortBy(_.ref).iterator.map(c => ("col " + c.ref, c.contentEmb))
+      println(f"${"annoy probe"}%-18s ${digestLines(embProbes.map { case (id, q) =>
+        rankedLine(id, cmdl.lfs.annoy.query(q, 10)) })}")
       val joins = joinable.iterator.map(c => joinLine(c.ref, cmdl.syntacticIndex.topK(c, 10)))
       println(f"${"syntactic topK"}%-18s ${digestLines(joins)}")
       for ((name, topK) <- Seq(

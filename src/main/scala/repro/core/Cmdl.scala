@@ -4,7 +4,7 @@ import scala.util.Random
 
 import org.apache.spark.sql.SparkSession
 
-import repro.discover.{JoinDiscovery, UnionDiscovery}
+import repro.discover.{DocToTable, JoinDiscovery, UnionDiscovery}
 import repro.embed.WordVectors
 import repro.joint.{Mlp, TripletTraining}
 import repro.label.{GoldTuning, LabelingFunctions, SnorkelLite}
@@ -36,6 +36,12 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
 
   /** The four labeling-function indexes of Fig. 3 (also Table 6's probes). */
   val lfs = new LabelingFunctions(colProfiles, lfTopK)
+
+  /** Solo-embedding Doc→Table scan over the text columns' content embeddings
+    * (SRQL's cross-modal search without a joint model). It shares the matrix
+    * of `lfs.annoy`, which indexes exactly these embeddings in this order.
+    */
+  lazy val soloTables = new DocToTable.TableScan(lfs.annoy.vectors, lfs.textCols.map(_.table))
 
   /** BM25 over the document modality (content_search in Text mode). */
   lazy val bm25Docs = new Bm25Index(docProfiles.map(d => d.id -> d.bag).toMap)
@@ -139,7 +145,14 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
   // ------------------------------------------------------------------
 
   final case class Joint(model: Mlp, epochs: Int, lossHistory: Vector[Double],
-      docEmb: Map[String, Array[Float]], colEmb: Map[String, Array[Float]], stats: TripletTraining.Stats)
+      docEmb: Map[String, Array[Float]], colEmb: Map[String, Array[Float]], stats: TripletTraining.Stats) {
+
+    /** Joint-space Doc→Table scan over the text columns, built once; a column
+      * without a joint embedding scores 0.
+      */
+    lazy val tables: DocToTable.TableScan =
+      DocToTable.TableScan(lfs.textCols, c => colEmb.getOrElse(c.ref, new Array[Float](model.outDim)))
+  }
 
   /** Trains the triplet model on the weak labels and applies it to all DEs. */
   def trainJoint(labels: WeakLabels, cfg: TripletTraining.Config = TripletTraining.Config()): Joint = {

@@ -6,9 +6,10 @@ import repro.text.Tokenizer
 
 /** The SRQL discovery interface (§5.2) with CMDL's extensions: document DEs,
   * cross-modal search, and DRS result sets. Mirrors the five-step pipeline
-  * of Fig. 1 / §5.2's example queries. Every table-level answer is
-  * `DocToTable.rankTables` over column (or table) scores, and every answer is
-  * written to the EKG as it is returned.
+  * of Fig. 1 / §5.2's example queries. Every table-level answer ranks tables
+  * as `DocToTable.rankTables` does over column (or table) scores, and every
+  * answer is written to the EKG as it is returned. `joint` is a model that
+  * `cmdl` trained.
   */
 final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
 
@@ -47,17 +48,15 @@ final class Srql(cmdl: Cmdl, joint: Option[Cmdl#Joint] = None) {
 
   /** Q2/Q3-style cross-modal search: tables related to a document (by id),
     * ranked in the joint space when a joint model is available, otherwise by
-    * solo embeddings. A column without a joint embedding scores 0.
+    * solo embeddings, through a table scan built once per space that answers
+    * as `DocToTable.embeddingRank`. A column without a joint embedding scores 0.
     */
   def crossModalSearch(docId: String, topn: Int): Drs = {
     val doc = cmdl.docById.getOrElse(docId,
       throw new IllegalArgumentException(s"unknown document $docId"))
     val tables = joint match {
-      case Some(j) =>
-        DocToTable.embeddingRank(j.docEmb(docId), cmdl.lfs.textCols,
-          c => j.colEmb.getOrElse(c.ref, new Array[Float](j.model.outDim)), topn)
-      case None =>
-        DocToTable.embeddingRank(doc.contentEmb, cmdl.lfs.textCols, _.contentEmb, topn)
+      case Some(j) => j.tables.top(j.docEmb(docId), topn)
+      case None    => cmdl.soloTables.top(doc.contentEmb, topn)
     }
     record(docId, "crossmodal", tables, s"crossModal_search($docId)")
   }

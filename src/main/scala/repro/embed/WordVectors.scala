@@ -88,8 +88,14 @@ object WordVectors {
     require(a.length == b.length, "dim mismatch")
     var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
     while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-    if (na == 0.0 || nb == 0.0) 0.0 else dot / math.sqrt(na * nb)
+    cosineOf(dot, na, nb)
   }
+
+  /** The cosine from a dot product and the two sums of squares: 0 when either
+    * vector is all zeros (a column with no tokens pools to zero).
+    */
+  def cosineOf(dot: Double, aa: Double, bb: Double): Double =
+    if (aa == 0.0 || bb == 0.0) 0.0 else dot / math.sqrt(aa * bb)
 
   def normalize(v: Array[Float]): Array[Float] = {
     var n = 0.0; var i = 0

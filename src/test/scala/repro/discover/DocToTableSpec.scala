@@ -3,6 +3,7 @@ package repro.discover
 import repro.{SparkSpec, TestFixtures}
 import repro.core.Cmdl
 import repro.ekg.Srql
+import repro.joint.{Mlp, TripletTraining}
 import repro.lake.ColRef
 import repro.sketch.MinHash
 
@@ -54,6 +55,33 @@ class DocToTableSpec extends SparkSpec {
         for (topn <- Seq(3, 10)) assert(srql.pkfk(t, topn).items === SeedTableRanking.pkfk(c, t, topn), t)
         assert(srql.unionable(t, 10).items === SeedTableRanking.unionable(c.colProfiles, t, 10), t)
       }
+    }
+  }
+
+  private def bits(r: Seq[(String, Double)]): Seq[(String, Long)] =
+    r.map { case (t, s) => (t, java.lang.Double.doubleToRawLongBits(s)) }
+
+  test("solo and joint crossModalSearch equal the seed's embeddingRank, with a zero column, k = 0 and k past the tables") {
+    for (c <- lakes) {
+      val cols = c.lfs.textCols
+      val ntables = cols.map(_.table).distinct.size
+      // A stand-in joint space (metadata embeddings): one column embeds to
+      // zeros and one has no joint embedding, so both score 0.
+      val zeroCol +: missingCol +: _ = cols.sortBy(_.ref).map(_.ref)
+      val j = c.Joint(new Mlp(outDim = 100), 0, Vector.empty, c.docProfiles.map(d => d.id -> d.metaEmb).toMap,
+        cols.filter(_.ref != missingCol).map(col =>
+          col.ref -> (if (col.ref == zeroCol) new Array[Float](100) else col.metaEmb)).toMap,
+        TripletTraining.Stats(0, 0, 0, 0, 0, 0))
+      val solo = new Srql(c)
+      val joint = new Srql(c, Some(j))
+      for (d <- c.docProfiles; k <- Seq(0, 1, 10, ntables + 5)) {
+        val soloSeed = SeedTableRanking.embeddingRank(d.contentEmb, cols, _.contentEmb, k)
+        assert(bits(solo.crossModalSearch(d.id, k).items) === bits(soloSeed), d.id)
+        assert(bits(DocToTable.embeddingRank(d.contentEmb, cols, _.contentEmb, k)) === bits(soloSeed), d.id)
+        assert(bits(joint.crossModalSearch(d.id, k).items) === bits(SeedTableRanking.embeddingRank(d.metaEmb, cols,
+          col => j.colEmb.getOrElse(col.ref, new Array[Float](100)), k)), d.id)
+      }
+      assert(solo.crossModalSearch(c.docProfiles.head.id, ntables + 5).size === ntables)
     }
   }
 }

@@ -1,5 +1,6 @@
 package repro.embed
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 
 class AnnoyIndexSpec extends AnyFunSuite {
@@ -65,5 +66,33 @@ class AnnoyIndexSpec extends AnyFunSuite {
     val v = WordVectors.wordVector("dup")
     val dup = new AnnoyIndex(IndexedSeq.tabulate(40)(i => (s"d$i", v.clone())))
     assert(dup.query(v, 5).size === 5)
+  }
+
+  private def bits(r: Seq[(String, Double)]): Seq[(String, Long)] =
+    r.map { case (id, c) => (id, java.lang.Double.doubleToRawLongBits(c)) }
+
+  // Vectors from a small pool of coordinates, so items repeat (duplicate
+  // pivots, margins of exactly 0), some are all zeros (a column with no tokens
+  // pools to zero), and ids repeat too.
+  test("query equals the seed's index on random items: duplicates, zero vectors, n <= leafSize, empty and one item") {
+    val world = for {
+      dim <- Gen.choose(1, 6)
+      pool <- Gen.nonEmptyListOf(Gen.frequency(
+        1 -> Gen.const(new Array[Float](dim)),
+        4 -> Gen.listOfN(dim, Gen.oneOf(-1f, 0f, 0.5f, 1f, 2f)).map(_.toArray)))
+      n <- Gen.frequency(1 -> Gen.choose(0, 1), 2 -> Gen.choose(2, 16), 4 -> Gen.choose(17, 120))
+      items <- Gen.listOfN(n, Gen.zip(Gen.choose(0, 150).map(i => s"i$i"), Gen.oneOf(pool)))
+      nTrees <- Gen.choose(0, 5)
+      leafSize <- Gen.choose(1, 20)
+      seed <- Gen.long
+      probes <- Gen.listOfN(4, Gen.zip(Gen.oneOf(pool), Gen.choose(-1, 15), Gen.oneOf(-1, 1, 3, 16, 200)))
+    } yield (items.toIndexedSeq, nTrees, leafSize, seed, probes)
+    val prop = Prop.forAll(world) { case (items, nTrees, leafSize, seed, probes) =>
+      val flat = new AnnoyIndex(items, nTrees, leafSize, seed)
+      val old = new SeedAnnoyIndex(items, nTrees, leafSize, seed)
+      probes.forall { case (q, k, searchK) => bits(flat.query(q, k, searchK)) == bits(old.query(q, k, searchK)) }
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
   }
 }
