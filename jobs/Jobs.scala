@@ -126,7 +126,9 @@ object Table6Job {
   * of every document. Two commits that train the same model print the same
   * digests. It also splits the
   * training wall time into weak-label evaluations, forward passes for hard
-  * sampling and SGD steps.
+  * sampling and SGD steps, counts the anchors that gave no triplet and the
+  * hard negatives pooled, and reports how far the weak labels' last EM
+  * iteration still moved a posterior.
   *
   * Usage: `spark-submit --class repro.jobs.TrainJointJob repro.jar
   * [mlOpen|ukOpen|pharma] [scale] [epochs]`. With `epochs`, training runs
@@ -170,6 +172,9 @@ object TrainJointJob {
       println(f"rel memo fill     ${s.relNs / 1e9}%.3f s  (${s.relCalls} rel calls)")
       println(f"forward passes    ${s.forwardNs / 1e9}%.3f s  (${s.forwardPasses} passes)")
       println(f"SGD               ${s.stepNs / 1e9}%.3f s  (${s.steps} steps)")
+      println(s"anchors skipped   ${s.noPosAnchors} without a positive, ${s.noNegAnchors} without a hard negative " +
+        s"(${s.hardNegatives} hard negatives pooled)")
+      println(f"EM last change    ${labels.emLastMaxChange}%.3e (largest posterior move in the last iteration)")
     } finally spark.stop()
   }
 }

@@ -1,11 +1,12 @@
 package repro.core
 
+import scala.collection.mutable
 import scala.util.Random
 
 import org.apache.spark.sql.SparkSession
 
 import repro.discover.{DocToTable, JoinDiscovery, UnionDiscovery}
-import repro.embed.WordVectors
+import repro.embed.{EmbeddingMatrix, WordVectors}
 import repro.joint.{Mlp, TripletTraining}
 import repro.label.{GoldTuning, LabelingFunctions, SnorkelLite}
 import repro.lake.Lake
@@ -77,6 +78,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       discWeights: Array[Double],
       sampledDocs: Seq[String],
       sampledCols: Seq[String],
+      emLastMaxChange: Double, // the generative model's `lastMaxChange`
   ) {
     /** Relatedness degree in [0,1] for any (doc, col) pair. */
     def rel(cmdl: Cmdl)(docId: String, colRef: String): Double =
@@ -84,6 +86,46 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
         case (Some(d), Some(c)) => SnorkelLite.predict(discWeights, cmdl.pairFeatures(d, c))
         case _                  => 0.0
       }
+
+    /** `rel(cmdl)`, with a document's whole row over `cmdl.lfs.textCols`
+      * computed on its first use and kept: both cosines by the blocked kernel
+      * (content over `lfs.annoy.vectors`, metadata over a matrix built here),
+      * BM25 from one `scoreAll`, containment and the discriminator as
+      * `pairFeatures` and `rel` compute them. Every value equals `rel`'s bit
+      * for bit; any other (doc, ref) pair is answered by `rel`. The returned
+      * function is not thread-safe.
+      */
+    def relRows(cmdl: Cmdl): (String, String) => Double = {
+      val cols = cmdl.lfs.textCols.toIndexedSeq
+      val colIdx = cols.iterator.map(_.ref).zipWithIndex.toMap
+      val all = Array.range(0, cols.size)
+      val content = cmdl.lfs.annoy.vectors // row i: the content embedding of cols(i)
+      val meta = new EmbeddingMatrix(cols.map(_.metaEmb))
+      val bm25 = cmdl.lfs.bm25Content
+      val bm25At = cols.map(c => bm25.indexOf(c.ref)).toArray
+      val rows = mutable.HashMap.empty[String, Array[Double]]
+      def row(d: DocProfile): Array[Double] = {
+        val contentCos = new Array[Double](cols.size)
+        val metaCos = new Array[Double](cols.size)
+        content.cosines(d.contentEmb, all, cols.size, contentCos)
+        meta.cosines(d.metaEmb, all, cols.size, metaCos)
+        val bm25Scores = bm25.scoreAll(d.bag)
+        val x = new Array[Double](4)
+        Array.tabulate(cols.size) { i =>
+          val c = cols(i)
+          x(0) = math.max(0.0, contentCos(i))
+          x(1) = MinHash.estContainment(d.sig, d.card, c.sig, c.card)
+          x(2) = math.min(1.0, bm25Scores(bm25At(i)) / 10.0)
+          x(3) = math.max(0.0, metaCos(i))
+          SnorkelLite.predict(discWeights, x)
+        }
+      }
+      (docId, colRef) =>
+        (cmdl.docById.get(docId), colIdx.get(colRef)) match {
+          case (Some(d), Some(i)) => rows.getOrElseUpdate(docId, row(d))(i)
+          case _                  => rel(cmdl)(docId, colRef)
+        }
+    }
   }
 
   /** Runs the Fig. 3 training-dataset generator: sample both modalities,
@@ -137,7 +179,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       negPairs.map(p => (pairFeatures(docById(p.doc), colByRef(p.col)), 0.02))
     val w = SnorkelLite.trainDiscriminator(trainData.toIndexedSeq, seed = seed)
 
-    WeakLabels(gen.accuracies, mask, w, docs.map(_.id), cols.map(_.ref))
+    WeakLabels(gen.accuracies, mask, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)
   }
 
   // ------------------------------------------------------------------
@@ -159,7 +201,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
     require(docProfiles.nonEmpty && lfs.textCols.nonEmpty,
       s"joint training needs documents and text-searchable columns; the lake has " +
         s"${docProfiles.size} documents and ${lfs.textCols.size} text columns")
-    val rel = labels.rel(this) _
+    val rel = labels.relRows(this)
     val docDes = docProfiles.map(d => TripletTraining.De(d.id, TripletTraining.encode(d.metaEmb, d.contentEmb)))
     val colDes = lfs.textCols.map(c => TripletTraining.De(c.ref, TripletTraining.encode(c.metaEmb, c.contentEmb)))
     val result = TripletTraining.train(docDes, colDes, rel, cfg)

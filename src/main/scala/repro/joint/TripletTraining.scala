@@ -49,9 +49,12 @@ object TripletTraining {
 
   /** Where a training run spent its time: weak-label evaluations (each one
     * fills the per-run memo), forward passes for hard sampling, SGD steps.
+    * Also why anchors gave no triplet, summed over epochs: no positive in
+    * the batch (`noPosAnchors`), or positives but no (hard) negative
+    * (`noNegAnchors`); and the hard negatives pooled into `Avg` triplets.
     */
   final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardNs: Long,
-      steps: Long, stepNs: Long)
+      steps: Long, stepNs: Long, noPosAnchors: Long, noNegAnchors: Long, hardNegatives: Long)
 
   final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long,
       stats: Stats)
@@ -78,18 +81,20 @@ object TripletTraining {
   ): Seq[Triplet] = {
     val cols = batchCols.toIndexedSeq
     val memo = new PosMemo(IndexedSeq(anchor), cols, rel, cfg.posThreshold)
-    anchorTriplets(0, Array.range(0, cols.size), memo, new EmbedCache(model, cols), cfg, new Clock)
+    anchorTriplets(0, Array.range(0, cols.size), memo, new EmbedCache(model, cols), cfg, new Tally)
   }
 
   /** The triplet generator shared by `tripletsFor` and `train`: the triplets
     * of doc `d` against the columns `batch` (indices into the memo's columns).
     */
   private def anchorTriplets(d: Int, batch: Array[Int], memo: PosMemo, cache: EmbedCache,
-      cfg: Config, clock: Clock): Seq[Triplet] = {
+      cfg: Config, tally: Tally): Seq[Triplet] = {
     val t0 = System.nanoTime()
     val (pos, neg) = batch.partition(memo.isPos(d, _))
-    clock.relNs += System.nanoTime() - t0
-    if (pos.isEmpty || neg.isEmpty) return Seq.empty // anchors without both are ignored
+    tally.relNs += System.nanoTime() - t0
+    // anchors without both are ignored
+    if (pos.isEmpty) { tally.noPos += 1; return Seq.empty }
+    if (neg.isEmpty) { tally.noNeg += 1; return Seq.empty }
     val anchor = memo.docs(d).enc
     def enc(c: Int) = memo.cols(c).enc
     cfg.hardStrategy match {
@@ -98,13 +103,14 @@ object TripletTraining {
       case HardStrategy.Avg =>
         val t1 = System.nanoTime()
         val (aEmb, negEmb) = cache.embed(anchor, neg)
-        clock.forwardNs += System.nanoTime() - t1
+        tally.forwardNs += System.nanoTime() - t1
         val dists = negEmb.map(cache.model.dist2(aEmb, _))
         var sum = 0.0
         dists.foreach(sum += _)
         val cutoff = sum / dists.length
         val hard = neg.indices.filter(dists(_) <= cutoff).map(i => enc(neg(i)))
-        if (hard.isEmpty) Seq.empty
+        tally.hardNegs += hard.size
+        if (hard.isEmpty) { tally.noNeg += 1; Seq.empty }
         else Seq((anchor, mean(pos.toSeq.map(enc)), mean(hard)))
     }
   }
@@ -122,7 +128,7 @@ object TripletTraining {
     val model = new Mlp(seed = cfg.seed)
     val memo = new PosMemo(docs.toIndexedSeq, cols.toIndexedSeq, rel, cfg.posThreshold)
     val cache = new EmbedCache(model, memo.cols)
-    val clock = new Clock
+    val tally = new Tally
     val nBatches = math.max(1, math.ceil(1.0 / cfg.batchFrac).toInt)
     val rnd = new Random(cfg.seed)
     val losses = mutable.ArrayBuffer.empty[Double]
@@ -133,10 +139,10 @@ object TripletTraining {
       var epochLoss = 0.0
       var count = 0
       for ((db, cb) <- miniBatches(docs.size, cols.size, nBatches, rnd); d <- db) {
-        for ((a, p, nn) <- anchorTriplets(d, cb, memo, cache, cfg, clock)) {
+        for ((a, p, nn) <- anchorTriplets(d, cb, memo, cache, cfg, tally)) {
           val t0 = System.nanoTime()
           epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
-          clock.stepNs += System.nanoTime() - t0
+          tally.stepNs += System.nanoTime() - t0
           count += 1
           triplets += 1
         }
@@ -147,7 +153,8 @@ object TripletTraining {
         converged = true
       epoch += 1
     }
-    val stats = Stats(memo.calls, clock.relNs, cache.passes, clock.forwardNs, triplets, clock.stepNs)
+    val stats = Stats(memo.calls, tally.relNs, cache.passes, tally.forwardNs, triplets, tally.stepNs,
+      tally.noPos, tally.noNeg, tally.hardNegs)
     Result(model, epoch, losses.toVector, triplets, stats)
   }
 
@@ -216,7 +223,8 @@ object TripletTraining {
     }
   }
 
-  private final class Clock { var relNs, forwardNs, stepNs = 0L }
+  /** Time and counts one training run accumulates into its `Stats`. */
+  private final class Tally { var relNs, forwardNs, stepNs, noPos, noNeg, hardNegs = 0L }
 
   private def mean(xs: Seq[Array[Double]]): Array[Double] = {
     val out = new Array[Double](xs.head.length)

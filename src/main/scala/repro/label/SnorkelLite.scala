@@ -22,6 +22,7 @@ object SnorkelLite {
       sensitivities: Seq[Double],
       falsePositiveRates: Seq[Double],
       probs: Map[(String, String), Double],
+      lastMaxChange: Double, // largest |change| of one posterior in the last EM iteration
   )
 
   /** Two-coin Dawid–Skene EM over LF parameters and latent pair labels.
@@ -32,7 +33,8 @@ object SnorkelLite {
     * rate q = P(vote=1 | unrelated) rather than one symmetric accuracy — a
     * symmetric model degenerates by explaining single-vote pairs as negatives
     * with an "anti-correlated" LF. `mask(j) = false` switches LF j off
-    * (gold-label tuning, §4.1).
+    * (gold-label tuning, §4.1). EM runs a fixed `iters` iterations;
+    * `lastMaxChange` reports how far the last one still moved a posterior.
     */
   def generative(
       pairs: Seq[LabeledPair],
@@ -40,7 +42,7 @@ object SnorkelLite {
       iters: Int = 30,
       initialPrior: Double = 0.3,
   ): GenerativeResult = {
-    if (pairs.isEmpty) return GenerativeResult(Seq.empty, Seq.empty, Seq.empty, Map.empty)
+    if (pairs.isEmpty) return GenerativeResult(Seq.empty, Seq.empty, Seq.empty, Map.empty, 0.0)
     val nLf = pairs.head.votes.size
     val m = if (mask.nonEmpty) mask else Seq.fill(nLf)(true)
     val active = (0 until nLf).filter(m(_))
@@ -48,9 +50,11 @@ object SnorkelLite {
     val fpr = Array.fill(nLf)(0.05)
     var prior = initialPrior
     var probs = Array.fill(pairs.size)(0.5)
+    var lastMaxChange = 0.0
 
     for (_ <- 0 until iters) {
       // E-step: posterior P(y=1 | votes) under the two-coin likelihood.
+      val before = probs
       probs = pairs.map { p =>
         var l1 = math.log(math.max(prior, 1e-9))
         var l0 = math.log(math.max(1 - prior, 1e-9))
@@ -63,6 +67,7 @@ object SnorkelLite {
         val e1 = math.exp(l1 - mx); val e0 = math.exp(l0 - mx)
         e1 / (e1 + e0)
       }.toArray
+      lastMaxChange = probs.indices.foldLeft(0.0)((m, i) => math.max(m, math.abs(probs(i) - before(i))))
       // M-step: per-LF sensitivity and false-positive rate.
       val posMass = probs.sum
       val negMass = probs.length - posMass
@@ -76,7 +81,7 @@ object SnorkelLite {
     }
     val balanced = (0 until nLf).map(j => (sens(j) + (1 - fpr(j))) / 2.0)
     GenerativeResult(balanced, sens.toSeq, fpr.toSeq,
-      pairs.zip(probs).map { case (p, q) => (p.doc, p.col) -> q }.toMap)
+      pairs.zip(probs).map { case (p, q) => (p.doc, p.col) -> q }.toMap, lastMaxChange)
   }
 
   /** Logistic-regression discriminator trained by SGD on probabilistic

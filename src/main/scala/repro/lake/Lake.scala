@@ -42,7 +42,7 @@ final case class UnionBench(id: String, workload: String, queries: Map[String, S
 /** A data lake: structured tables + unstructured documents + the benchmark
   * ground truths that the generator derives while building the data (Table 2's
   * "Ground Truth Generation" column). The lake holds plain Scala
-  * collections; the profiler turns `rawColumns` and `docs` into Spark Datasets.
+  * collections; the profiler maps `rawColumns` and `docs` as Spark RDDs.
   */
 final case class Lake(
     name: String,

@@ -2,7 +2,7 @@ package repro.profile
 
 /** Raw inputs to and sketch outputs of the CMDL profiler (§3).
   *
-  * `RawColumn` / `RawDoc` are the rows of the two lake DataFrames (one per
+  * `RawColumn` / `RawDoc` are the raw rows of the lake (one type per
   * modality); the profiler maps them to `ColumnProfile` / `DocProfile`, each
   * carrying every sketch the downstream indexes and discovery algorithms
   * need — signatures, solo embeddings, numeric statistics, format features

@@ -13,9 +13,11 @@ import scala.collection.mutable
   * The postings are built in one pass over the documents into primitive
   * arrays: term t's postings are `docIdx`/`tfs` at `start(t) until
   * start(t + 1)`, doc indexes ascending, with one precomputed BM25 `idf` per
-  * term. `score` binary-searches a term's doc indexes and adds each term's
-  * contribution exactly as `query` does, so the two agree bit for bit. Probes
-  * rank by (-score, id) with a bounded top-k insertion, not a full sort.
+  * term. `scoreAll` walks the query terms' postings into one score per
+  * document; `query` ranks that array, and `score` binary-searches a term's
+  * doc indexes and adds each term's contribution in the same order, so all
+  * three agree bit for bit. Probes rank by (-score, id) with a bounded top-k
+  * insertion, not a full sort.
   *
   * @param docs id -> bag of (already preprocessed) terms
   */
@@ -72,16 +74,24 @@ final class Bm25Index(docs: Map[String, Seq[String]], k1: Double = 1.2, b: Doubl
   private def weight(w: Double, tf: Int, i: Int): Double =
     w * (tf * (k1 + 1) / (tf + k1 * (1 - b + b * lens(i) / math.max(avgdl, 1e-9))))
 
-  /** Top-k documents by BM25 (TF/IDF probabilistic relevance [58]). */
-  def query(terms: Seq[String], k: Int): Seq[(String, Double)] = {
+  /** Position of document `id` in `scoreAll`'s array, or -1 if it is not indexed. */
+  def indexOf(id: String): Int = idOf.getOrElse(id, -1)
+
+  /** BM25 score of every document for a query, document `id` at `indexOf(id)`:
+    * each equals `score(terms, id)` bit for bit.
+    */
+  def scoreAll(terms: Seq[String]): Array[Double] = {
     val scores = new Array[Double](ids.size)
     for (t <- terms.distinct; ti <- termIdx.get(t)) {
       val w = idf(ti)
       var j = start(ti)
       while (j < start(ti + 1)) { scores(docIdx(j)) += weight(w, tfs(j), docIdx(j)); j += 1 }
     }
-    topK(scores, k)
+    scores
   }
+
+  /** Top-k documents by BM25 (TF/IDF probabilistic relevance [58]). */
+  def query(terms: Seq[String], k: Int): Seq[(String, Double)] = topK(scoreAll(terms), k)
 
   /** Top-k documents by query-likelihood with Dirichlet smoothing (the "LM
     * Dirichlet" elastic-search setting of §6.1), mu defaulting to 2000.

@@ -6,8 +6,8 @@ package repro.text
   * CMDL converts each document into a column-style bag of words through
   * tokenization, stopword removal, part-of-speech filtering (retain nouns)
   * and lemmatization, then drops words occurring in a large fraction of the
-  * documents as non-discriminative; that corpus-level step is the DataFrame
-  * filter of `Profiler.profileDocs`. The paper uses a Gensim pipeline; this
+  * documents as non-discriminative; that corpus-level step is the driver-side
+  * count of `Profiler.profileDocs`. The paper uses a Gensim pipeline; this
   * is a deterministic, dependency-free re-implementation: the POS filter is
   * a suffix heuristic (drops obvious verb/adverb forms), the lemmatizer a
   * rule-based English plural/inflection stripper. Both are exact enough for

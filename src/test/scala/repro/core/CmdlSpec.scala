@@ -128,6 +128,21 @@ class CmdlSpec extends SparkSpec {
     assert(cmdl.pairFeatures(d, c).forall(f => f >= 0.0 && f <= 1.0))
   }
 
+  test("relRows equals rel bit for bit on every (doc, text column) pair, a non-text column and unknown ids") {
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    for (c <- Seq(cmdl, TestFixtures.cmdlUkOpen)) {
+      val wl = if (c eq cmdl) labels else c.weakLabels()
+      val (rel, rows) = (wl.rel(c) _, wl.relRows(c))
+      val nonText = c.colProfiles.filterNot(p => c.lfs.textCols.exists(_.ref == p.ref)).map(_.ref)
+      assert(nonText.nonEmpty)
+      // columns in reverse, so a row is filled from its last column's first use
+      for (d <- c.docProfiles; col <- c.lfs.textCols.reverse.map(_.ref) ++ nonText.take(3) :+ "nada.zip")
+        assert(bits(rows(d.id, col)) === bits(rel(d.id, col)), s"${d.id} $col")
+      val col = c.lfs.textCols.head.ref
+      assert(rows("nope", col) === 0.0 && rel("nope", col) === 0.0)
+    }
+  }
+
   private val drugNames = Seq("aspirin", "ibuprofen", "naproxen", "codeine", "morphine", "insulin")
 
   /** One table per (collection, table), in order of first mention, each column holding `drugNames`. */
@@ -174,7 +189,7 @@ class CmdlSpec extends SparkSpec {
     val c = new Cmdl(spark, tinyLake(Seq(("c", "t", "name"), ("c", "u", "name")),
       Seq(RawDoc("PubMed", "d1", "aspirin trial", "aspirin eases pain"))))
     val j = c.Joint(new Mlp(outDim = 8), 0, Vector.empty, Map("d1" -> Array.fill(8)(1f)), Map.empty,
-      TripletTraining.Stats(0, 0, 0, 0, 0, 0))
+      TripletTraining.Stats(0, 0, 0, 0, 0, 0, 0, 0, 0))
     val r = new Srql(c, Some(j)).crossModalSearch("d1", topn = 3)
     assert(r.items === Seq("t" -> 0.0, "u" -> 0.0))
   }

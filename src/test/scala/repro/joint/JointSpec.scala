@@ -386,7 +386,7 @@ class JointGoldenSpec extends SparkSpec {
       .filter(_.columns.nonEmpty), docs = lake.docs.take(5))
     val cmdl = new repro.core.Cmdl(spark, numeric)
     assert(cmdl.lfs.textCols.isEmpty)
-    val labels = cmdl.WeakLabels(Seq.fill(4)(0.5), Seq.fill(4)(true), Array.fill(5)(0.0), Seq.empty, Seq.empty)
+    val labels = cmdl.WeakLabels(Seq.fill(4)(0.5), Seq.fill(4)(true), Array.fill(5)(0.0), Seq.empty, Seq.empty, 0.0)
     val e = intercept[IllegalArgumentException](cmdl.trainJoint(labels))
     assert(e.getMessage.contains("5 documents") && e.getMessage.contains("0 text columns"), e.getMessage)
   }

@@ -1,6 +1,7 @@
 package repro.profile
 
 import repro.{Oracle, SparkSpec, TestFixtures}
+import repro.embed.WordVectors
 import repro.sketch.MinHash
 import repro.text.{DocFreqOracle, Tokenizer}
 
@@ -137,6 +138,45 @@ class ProfilerSpec extends SparkSpec {
     assert(profiled === oracle)
     // every term is in more than 10% of the 4 documents; only kinase is in more than one
     assert(profiled.values.flatten.toSet === Set("zebra", "otter", "heron", "badger"))
+  }
+
+  test("profileColumns keeps input order, each profile equal to profileColumn's") {
+    val cols = TestFixtures.pharma.rawColumns.reverse
+    val profiled = Profiler.profileColumns(spark, cols)
+    assert(profiled.map(_.ref) === cols.map(c => s"${c.table}.${c.column}"))
+    def fields(p: ColumnProfile) = (p.collection, p.table, p.column, p.dtype, p.rows, p.card, p.uniqueness,
+      p.bag, p.tags, p.sig.toSeq, p.contentEmb.toSeq, p.metaEmb.toSeq, p.formatFeats.toSeq,
+      java.lang.Double.doubleToRawLongBits(p.numMin), java.lang.Double.doubleToRawLongBits(p.numMax))
+    for ((p, c) <- profiled.zip(cols)) assert(fields(p) === fields(Profiler.profileColumn(c)), p.ref)
+  }
+
+  test("profileDocs keeps input order and sketches the oracle's bags") {
+    val lakeDocs = TestFixtures.pharma.docs.reverse
+    val profiled = Profiler.profileDocs(spark, lakeDocs)
+    assert(profiled.map(_.id) === lakeDocs.map(_.id))
+    val bags = DocFreqOracle.docFreqFilter(lakeDocs.map(d => Tokenizer.bagOfWords(d.title + " " + d.text)))
+    for ((p, (d, bag)) <- profiled.zip(lakeDocs.zip(bags))) {
+      assert(p.bag === bag && p.card === bag.distinct.size && p.title === d.title, p.id)
+      assert(p.sig.sameElements(MinHash.signature(bag.distinct)), p.id)
+      assert(p.contentEmb.sameElements(WordVectors.meanPool(bag)), p.id)
+      assert(p.metaEmb.sameElements(WordVectors.meanPool(Tokenizer.bagOfWords(d.title))), p.id)
+    }
+  }
+
+  test("profileDocs of one document keeps every term, repeats included") {
+    val Seq(p) = Profiler.profileDocs(spark, Seq(RawDoc("pm", "d1", "kinase", "kinase zebra kinase")))
+    assert(p.bag === Seq("kinase", "kinase", "zebra", "kinase"))
+    assert(p.card === 2)
+  }
+
+  test("profileDocs of documents whose every term is stopped gives empty bags and zero content embeddings") {
+    val ps = Profiler.profileDocs(spark, docs("kinase zebra", "zebra kinase", "kinase zebra kinase"))
+    assert(ps.size === 3)
+    for (p <- ps) {
+      assert(p.bag.isEmpty && p.card === 0)
+      assert(p.sig.sameElements(MinHash.signature(Seq.empty)))
+      assert(p.contentEmb.forall(_ == 0f))
+    }
   }
 
   test("profileDocs keeps metadata embedding from the title only") {

@@ -102,6 +102,24 @@ class Bm25IndexSpec extends AnyFunSuite {
     assert(res.passed, res)
   }
 
+  test("scoreAll at indexOf(id) equals score, bit for bit: repeated and unknown terms, empty index") {
+    // bags of 0 to 12 documents (an empty index included); queries repeat terms and name unknown ones
+    val prop = Prop.forAll(Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, bag)),
+        Gen.choose(0, 8).flatMap(n => Gen.listOfN(n, Gen.oneOf(vocab ++ Seq("drug", "unknown", "zzz"))))) {
+      (bags, terms) =>
+      val corpus = bags.zipWithIndex.map { case (bg, i) => s"d${(i * 7) % 13}_$i" -> bg }.toMap
+      val idx = new Bm25Index(corpus)
+      val all = idx.scoreAll(terms)
+      def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+      all.length == corpus.size && idx.indexOf("unknown-id") == -1 &&
+      corpus.keys.map(idx.indexOf).toSet == all.indices.toSet &&
+      corpus.keys.forall(id => bits(all(idx.indexOf(id))) == bits(idx.score(terms, id)))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+    assert(new Bm25Index(Map.empty).scoreAll(Seq("drug", "drug")).isEmpty)
+  }
+
   test("query and LM Dirichlet rank by (-score, id) and cut at k") {
     val prop = Prop.forAll(Gen.choose(0, 12).flatMap(n => Gen.listOfN(n, bag)),
         Gen.choose(0, 6).flatMap(n => Gen.listOfN(n, Gen.oneOf(vocab :+ "unknown"))), Gen.choose(-1, 14)) {

@@ -6,7 +6,7 @@ import repro.profile.Profiler
   * bags, kept as a test oracle: a term is dropped when more than `maxDfFrac`
   * of the documents contain it and more than one document does (the guard
   * that keeps the terms of a degenerate corpus). `Profiler.profileDocs`'
-  * DataFrame filter must keep exactly the terms this keeps.
+  * driver-side count must keep exactly the terms this keeps.
   */
 object DocFreqOracle {
   def docFreqFilter(bags: Seq[Seq[String]], maxDfFrac: Double = Profiler.DefaultMaxDfFrac): Seq[Seq[String]] = {
