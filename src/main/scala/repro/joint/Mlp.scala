@@ -1,5 +1,7 @@
 package repro.joint
 
+import java.util.concurrent.{ForkJoinPool, RecursiveAction}
+
 import scala.util.Random
 
 /** The joint representation model (§4.2): a deep multi-layer network mapping
@@ -14,8 +16,10 @@ import scala.util.Random
   * Training is sequential per-triplet SGD: every `tripletStep` with a
   * positive loss writes the weights at once. `version` counts those writes,
   * so a caller may reuse an embedding for as long as the version it was
-  * computed at is current. `embedAll` is the batched forward pass; it gives
-  * the same bits as `embed` on every sample.
+  * computed at is current. `embedAll` is the batched forward pass: its
+  * samples are split across the cores of the common `ForkJoinPool`, and it
+  * gives the same bits as `embed` on every sample. Only forward passes run
+  * in parallel; the SGD steps stay sequential in the caller.
   */
 final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int = 100, seed: Long = 5L) {
 
@@ -59,17 +63,34 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
 
   def embed(x: Array[Double]): Array[Double] = forward(x)._2
 
-  /** `embed` of every sample, with one pass over each weight row for the
-    * whole batch. Samples sit in lanes (the inputs are transposed), and each
-    * lane is summed in the same order as in `forward`, so every output equals
-    * `embed` bit for bit.
+  /** `embed` of every sample. The lanes are cut into contiguous chunks that
+    * run on the common `ForkJoinPool`, the caller running the first; a batch
+    * of fewer than `2 * MinLanes` samples is one chunk, run in the caller.
+    * No weight is written while chunks run, and a lane's result does not
+    * depend on its chunk, so every output equals `embed` bit for bit.
     */
   def embedAll(xs: IndexedSeq[Array[Double]]): Array[Array[Double]] = {
     val n = xs.size
+    val out = new Array[Array[Double]](n)
+    val chunks = math.max(1, math.min(ForkJoinPool.getCommonPoolParallelism + 1, n / Mlp.MinLanes))
+    def from(c: Int) = (c.toLong * n / chunks).toInt
+    val rest = (1 until chunks).map(c =>
+      new RecursiveAction { def compute(): Unit = embedLanes(xs, from(c), from(c + 1), out) }.fork())
+    embedLanes(xs, 0, from(1), out)
+    rest.foreach(_.join())
+    out
+  }
+
+  /** `out(s) = embed(xs(s))` for lanes `lo until hi`, with one pass over each
+    * weight row for all of them. The chunk's inputs are transposed, and each
+    * lane is summed in the same order as in `forward`.
+    */
+  private def embedLanes(xs: IndexedSeq[Array[Double]], lo: Int, hi: Int, out: Array[Array[Double]]): Unit = {
+    val n = hi - lo
     val xt = Array.ofDim[Double](inDim, n)
     var s = 0
     while (s < n) {
-      val x = xs(s); var j = 0
+      val x = xs(lo + s); var j = 0
       while (j < inDim) { xt(j)(s) = x(j); j += 1 }
       s += 1
     }
@@ -83,17 +104,17 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
       while (s < n) { z(s) = math.tanh(z(s)); s += 1 }
       i += 1
     }
-    val out = Array.ofDim[Double](n, outDim)
+    s = 0
+    while (s < n) { out(lo + s) = new Array[Double](outDim); s += 1 }
     val z = new Array[Double](n)
     i = 0
     while (i < outDim) {
       java.util.Arrays.fill(z, b2(i))
       accumulate(z, w2(i), ht, n)
       s = 0
-      while (s < n) { out(s)(i) = z(s); s += 1 }
+      while (s < n) { out(lo + s)(i) = z(s); s += 1 }
       i += 1
     }
-    out
   }
 
   /** z(s) += row(j) * xt(j)(s) for every lane s, j ascending. Four j per
@@ -191,4 +212,12 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
       i += 1
     }
   }
+}
+
+object Mlp {
+
+  /** The fewest lanes `embedAll` gives one chunk: below this, a chunk's
+    * fork and join cost more than its forward passes.
+    */
+  private[joint] val MinLanes = 8
 }

@@ -18,12 +18,13 @@ import scala.util.Random
   * combinations instead (the ablation of Fig. 10b).
   *
   * Training is sequential per-triplet SGD: each triplet's step updates the
-  * weights before the next anchor is sampled. A training run evaluates the
-  * weak label of each (doc, column) pair at most once, and reuses a column's
-  * embedding until a step changes the weights (`Mlp.version`); neither
-  * changes a single bit of the result. The paper's PyTorch semantics, one
-  * accumulated gradient per batch, would change the numerics and is not
-  * implemented (ROADMAP item 3b).
+  * weights before the next anchor is sampled. Only the hard-sampling forward
+  * passes run on several cores, inside `Mlp.embedAll`, and no step runs
+  * while they do. A training run evaluates the weak label of each (doc,
+  * column) pair at most once, and reuses a column's embedding until a step
+  * changes the weights (`Mlp.version`); none of this changes a single bit of
+  * the result. The paper's PyTorch semantics, one accumulated gradient per
+  * batch, would change the numerics and is not implemented (ROADMAP item 3b).
   */
 object TripletTraining {
 
@@ -48,13 +49,14 @@ object TripletTraining {
   )
 
   /** Where a training run spent its time: weak-label evaluations (each one
-    * fills the per-run memo), forward passes for hard sampling, SGD steps.
+    * fills the per-run memo), forward passes for hard sampling (`forwardPasses`
+    * samples in `forwardCalls` batched calls), SGD steps.
     * Also why anchors gave no triplet, summed over epochs: no positive in
     * the batch (`noPosAnchors`), or positives but no (hard) negative
     * (`noNegAnchors`); and the hard negatives pooled into `Avg` triplets.
     */
-  final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardNs: Long,
-      steps: Long, stepNs: Long, noPosAnchors: Long, noNegAnchors: Long, hardNegatives: Long)
+  final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardCalls: Long,
+      forwardNs: Long, steps: Long, stepNs: Long, noPosAnchors: Long, noNegAnchors: Long, hardNegatives: Long)
 
   final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long,
       stats: Stats)
@@ -153,7 +155,7 @@ object TripletTraining {
         converged = true
       epoch += 1
     }
-    val stats = Stats(memo.calls, tally.relNs, cache.passes, tally.forwardNs, triplets, tally.stepNs,
+    val stats = Stats(memo.calls, tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets, tally.stepNs,
       tally.noPos, tally.noNeg, tally.hardNegs)
     Result(model, epoch, losses.toVector, triplets, stats)
   }
@@ -207,8 +209,8 @@ object TripletTraining {
   private[joint] final class EmbedCache(val model: Mlp, cols: IndexedSeq[De]) {
     private val emb = new Array[Array[Double]](cols.size)
     private val at = Array.fill(cols.size)(-1L)
-    /** Forward passes run so far. */
-    var passes = 0L
+    /** Forward passes run so far, and the `embedAll` calls that ran them. */
+    var passes, calls = 0L
 
     /** The current embeddings of `anchor` and of the columns `idx`; only
       * columns embedded under older weights are recomputed.
@@ -218,6 +220,7 @@ object TripletTraining {
       val stale = idx.filter(at(_) != v)
       val out = model.embedAll(anchor +: stale.toIndexedSeq.map(cols(_).enc))
       passes += out.length
+      calls += 1
       for (k <- stale.indices) { emb(stale(k)) = out(k + 1); at(stale(k)) = v }
       (out(0), idx.map(emb))
     }

@@ -1,5 +1,7 @@
 package repro.profile
 
+import java.util.regex.Pattern
+
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -47,10 +49,20 @@ object Profiler {
     val rows = norm.size.toLong
     val card = distinct.size.toLong
     val nums = if (raw.dtype == "numeric") norm.flatMap(v => v.toDoubleOption) else Seq.empty
-    val avgLen = if (distinct.isEmpty) 0.0 else distinct.map(_.length).sum.toDouble / distinct.size
-    val chars = distinct.flatMap(_.toSeq)
-    val fracDigit = if (chars.isEmpty) 0.0 else chars.count(_.isDigit).toDouble / chars.size
-    val fracAlpha = if (chars.isEmpty) 0.0 else chars.count(_.isLetter).toDouble / chars.size
+    var chars, digits, letters = 0
+    for (v <- distinct) {
+      var i = 0
+      while (i < v.length) {
+        val ch = v.charAt(i)
+        if (ch.isDigit) digits += 1
+        if (ch.isLetter) letters += 1
+        i += 1
+      }
+      chars += v.length
+    }
+    val avgLen = if (distinct.isEmpty) 0.0 else chars.toDouble / distinct.size
+    val fracDigit = if (chars == 0) 0.0 else digits.toDouble / chars
+    val fracAlpha = if (chars == 0) 0.0 else letters.toDouble / chars
 
     val textSearch = (raw.dtype == "text" || raw.dtype == "id") &&
       card >= math.max(5.0, MinDistinctFracForTextSearch * rows)
@@ -119,7 +131,9 @@ object Profiler {
     sc.parallelize(xs, sc.defaultParallelism).map(f).collect().toSeq
   }
 
+  private val CamelHump = Pattern.compile("([a-z])([A-Z])")
+
   /** Tokens of a table/column identifier: split on `_` and camel case. */
   def nameTokens(name: String): Seq[String] =
-    Tokenizer.tokenize(name.replaceAll("([a-z])([A-Z])", "$1 $2"))
+    Tokenizer.tokenize(CamelHump.matcher(name).replaceAll("$1 $2"))
 }

@@ -1,5 +1,7 @@
 package repro.text
 
+import java.util.regex.Pattern
+
 /** NLP preprocessing pipeline for unstructured documents (§3, "Documents
   * Format Transformation").
   *
@@ -31,9 +33,11 @@ object Tokenizer {
   /** Suffixes that mark non-noun forms under the heuristic POS filter. */
   private val NonNounSuffixes = Seq("ly", "ingly", "edly")
 
+  private val NonAlphanumeric = Pattern.compile("[^a-z0-9]+")
+
   /** Lowercase and split on any non-alphanumeric run. */
   def tokenize(text: String): Seq[String] =
-    text.toLowerCase.split("[^a-z0-9]+").toSeq.filter(_.nonEmpty)
+    NonAlphanumeric.split(text.toLowerCase).toSeq.filter(_.nonEmpty)
 
   /** Drop stopwords, single characters, and pure numbers. */
   def removeStopwords(tokens: Seq[String]): Seq[String] =

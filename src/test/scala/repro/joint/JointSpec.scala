@@ -79,6 +79,26 @@ class MlpSpec extends AnyFunSuite {
     assert(res.passed, res)
   }
 
+  test("embedAll equals embed bit for bit at every chunk boundary, the weights written between calls") {
+    val sizes = 0 to 4 * Mlp.MinLanes + 3
+    val prop = Prop.forAll(Gen.choose(0L, 1000L)) { seed =>
+      val m = new Mlp(seed = seed)
+      val rnd = new Random(seed)
+      def sample() = Array.fill(m.inDim)(rnd.nextGaussian())
+      sizes.forall { n =>
+        val xs = IndexedSeq.fill(n)(sample())
+        val all = m.embedAll(xs)
+        val same = all.length == n && xs.indices.forall(i => bits(all(i)) == bits(m.embed(xs(i))))
+        // a violated triplet (the negative is the anchor) writes every weight before the next call
+        val a = sample()
+        val v = m.version
+        same && m.tripletStep(a, sample(), a, margin = 0.2, lr = 0.02) > 0.0 && m.version > v
+      }
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(20), prop)
+    assert(res.passed, res)
+  }
+
   test("version changes exactly when a step writes the weights") {
     val m = new Mlp(4, 4, 2, seed = 3)
     val a = Array(1.0, 1.0, 0.0, 0.0)
@@ -378,6 +398,22 @@ class JointGoldenSpec extends SparkSpec {
     val res = train(docs, cols, rel, cfg)
     assert(res.totalTriplets > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
     ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
+  }
+
+  test("trainJoint run twice in one JVM gives the same loss and embeddings bit for bit") {
+    val cmdl = TestFixtures.cmdlUkOpen
+    val labels = cmdl.weakLabels()
+    val cfg = Config(maxEpochs = 15, batchFrac = 0.5, convergenceTol = 0.0)
+    def bitsOf(embs: Map[String, Array[Float]]) =
+      embs.toSeq.sortBy(_._1).map { case (id, e) => id -> e.toSeq.map(java.lang.Float.floatToRawIntBits) }
+    val Seq(first, second) = Seq.fill(2)(cmdl.trainJoint(labels, cfg))
+    // on average a forward call holds enough lanes to be split across chunks
+    assert(first.stats.forwardPasses >= 2 * Mlp.MinLanes * first.stats.forwardCalls, first.stats)
+    assert(first.epochs === 15 && second.epochs === 15)
+    assert(second.lossHistory.map(java.lang.Double.doubleToRawLongBits) ===
+      first.lossHistory.map(java.lang.Double.doubleToRawLongBits))
+    assert(bitsOf(second.docEmb) === bitsOf(first.docEmb))
+    assert(bitsOf(second.colEmb) === bitsOf(first.colEmb))
   }
 
   test("trainJoint fails loudly on a lake without text-searchable columns") {

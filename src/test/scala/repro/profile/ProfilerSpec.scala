@@ -1,9 +1,11 @@
 package repro.profile
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.embed.WordVectors
 import repro.sketch.MinHash
-import repro.text.{DocFreqOracle, Tokenizer}
+import repro.text.{DocFreqOracle, Tokenizer, TokenizerSpec}
 
 class ProfilerSpec extends SparkSpec {
 
@@ -186,6 +188,21 @@ class ProfilerSpec extends SparkSpec {
     val ps = Profiler.profileDocs(spark, docs)
     val Seq(pa, pb) = ps.sortBy(_.id)
     assert(repro.embed.WordVectors.cosine(pa.metaEmb, pb.metaEmb) > 0.999)
+  }
+
+  test("formatFeats equal the boxed-character expression they replaced, bit for bit") {
+    val prop = Prop.forAll(Gen.listOf(TokenizerSpec.mixedText)) { values =>
+      val raw = RawColumn("c", "t", "col", "text", values)
+      val distinct = raw.normValues.distinct
+      val avgLen = if (distinct.isEmpty) 0.0 else distinct.map(_.length).sum.toDouble / distinct.size
+      val chars = distinct.flatMap(_.toSeq)
+      val fracDigit = if (chars.isEmpty) 0.0 else chars.count(_.isDigit).toDouble / chars.size
+      val fracAlpha = if (chars.isEmpty) 0.0 else chars.count(_.isLetter).toDouble / chars.size
+      Profiler.profileColumn(raw).formatFeats.toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+        Seq(avgLen, fracDigit, fracAlpha).map(java.lang.Double.doubleToRawLongBits)
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(300), prop)
+    assert(res.passed, res)
   }
 
   test("nameTokens splits snake and camel case") {

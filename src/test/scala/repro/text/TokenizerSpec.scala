@@ -1,7 +1,10 @@
 package repro.text
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
+
+import repro.profile.Profiler
 
 class TokenizerSpec extends AnyFunSuite {
 
@@ -97,5 +100,31 @@ class TokenizerSpec extends AnyFunSuite {
       val s = Seq.fill(10)(pool(rnd.nextInt(pool.size))).mkString(" ")
       assert(Tokenizer.bagOfWords(s).forall(t => !Tokenizer.Stopwords.contains(t)))
     }
+  }
+
+  test("tokenize and nameTokens equal the String.split and replaceAll expressions they replaced") {
+    def oldTokenize(text: String) = text.toLowerCase.split("[^a-z0-9]+").toSeq.filter(_.nonEmpty)
+    val prop = Prop.forAll(TokenizerSpec.mixedText) { s =>
+      Tokenizer.tokenize(s) == oldTokenize(s) &&
+        Profiler.nameTokens(s) == oldTokenize(s.replaceAll("([a-z])([A-Z])", "$1 $2"))
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(1000), prop)
+    assert(res.passed, res)
+  }
+}
+
+object TokenizerSpec {
+
+  /** Strings of upper- and lower-case letters, ASCII and non-ASCII digits and
+    * letters, and separators; often empty or separators only.
+    */
+  val mixedText: Gen[String] = {
+    val chars = "aZzQ09_- .,\tÉéßİıΣσ٣５ǅ中"
+    val separators = "_- .,\t"
+    Gen.frequency(
+      8 -> Gen.listOf(Gen.oneOf(chars.toSeq)).map(_.mkString),
+      1 -> Gen.const(""),
+      1 -> Gen.listOf(Gen.oneOf(separators.toSeq)).map(_.mkString),
+    )
   }
 }
