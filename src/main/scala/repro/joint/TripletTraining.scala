@@ -24,7 +24,8 @@ import scala.util.Random
   * column) pair at most once, and reuses a column's embedding until a step
   * changes the weights (`Mlp.version`); none of this changes a single bit of
   * the result. The paper's PyTorch semantics, one accumulated gradient per
-  * batch, would change the numerics and is not implemented (ROADMAP item 3b).
+  * batch, would change the numerics and is not implemented (the first lever
+  * of ROADMAP item 1).
   */
 object TripletTraining {
 

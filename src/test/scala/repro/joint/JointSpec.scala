@@ -99,6 +99,52 @@ class MlpSpec extends AnyFunSuite {
     assert(res.passed, res)
   }
 
+  test("Mlp equals the output-major SeedMlp bit for bit through random interleavings of embed, embedAll and " +
+      "tripletStep") {
+    val lanes = 0 to 4 * Mlp.MinLanes + 3
+    var embedAllCalls, zeroLoss, posLoss = 0
+    // dimensions of 1, below and between multiples of 4 (the tail of the four-lane tile) and the defaults
+    val dim = Gen.oneOf(1, 2, 3, 5, 6, 7, 9, 13, 100, 150, 200)
+    val prop = Prop.forAll(dim, dim, dim, Gen.choose(0L, 1000L)) { (in, hidden, out, seed) =>
+      val m = new Mlp(in, hidden, out, seed)
+      val o = new SeedMlp(in, hidden, out, seed)
+      val rnd = new Random(seed)
+      def sample() = Array.fill(in)(rnd.nextGaussian())
+      def sameState() = m.version == o.version && bits(m.b1) == bits(o.b1) && bits(m.b2) == bits(o.b2) &&
+        m.w1.map(bits).toSeq == o.w1.map(bits).toSeq && m.w2.map(bits).toSeq == o.w2.map(bits).toSeq
+      sameState() && (1 to 12).forall { _ =>
+        val sameOut = rnd.nextInt(3) match {
+          case 0 =>
+            val x = sample()
+            bits(m.embed(x)) == bits(o.embed(x))
+          case 1 =>
+            // the calls step through every lane count in turn
+            val xs = IndexedSeq.fill(lanes(embedAllCalls % lanes.size))(sample())
+            embedAllCalls += 1
+            val (got, want) = (m.embedAll(xs), o.embedAll(xs))
+            got.length == xs.size && got.indices.forall(s => bits(got(s)) == bits(want(s)))
+          case _ =>
+            val a = sample()
+            // the anchor as negative gives a positive loss at margin 0.2, as positive a zero loss at margin 0
+            val (p, n, margin) = rnd.nextInt(3) match {
+              case 0 => (sample(), a, 0.2)
+              case 1 => (a, sample(), 0.0)
+              case _ => (sample(), sample(), rnd.nextDouble())
+            }
+            val lr = 0.001 + 0.05 * rnd.nextDouble()
+            val (got, want) = (m.tripletStep(a, p, n, margin, lr), o.tripletStep(a, p, n, margin, lr))
+            if (got > 0) posLoss += 1 else zeroLoss += 1
+            java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)
+        }
+        sameOut && sameState()
+      }
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res)
+    assert(embedAllCalls >= lanes.size, embedAllCalls)
+    assert(zeroLoss > 0 && posLoss > 0, (zeroLoss, posLoss))
+  }
+
   test("version changes exactly when a step writes the weights") {
     val m = new Mlp(4, 4, 2, seed = 3)
     val a = Array(1.0, 1.0, 0.0, 0.0)

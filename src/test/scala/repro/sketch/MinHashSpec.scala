@@ -81,6 +81,30 @@ class MinHashSpec extends AnyFunSuite {
     assert(est <= 1.0 && est > 0.99)
   }
 
+  // The bound was measured before it was stated: over 30,000 random pairs drawn as below, the error
+  // never exceeded 2.58 * sqrt(r / k), r = (|A| + |B|) / |A| (99.9th percentile 1.89; at r < 2 the largest
+  // error was 0.084, at r >= 64 the estimate often saturates at 0 or 1). The Jaccard estimate's standard
+  // error is sqrt(J (1 - J) / k), and converting it to containment scales it by about r, hence the shape.
+  test("estContainment at k = 256 is within 4 * sqrt((|A| + |B|) / (|A| k)) of exact containment " +
+      "(measured max 2.58) on skewed cardinalities") {
+    val k = 256
+    def logUniform(hi: Int): Gen[Int] = Gen.choose(0.0, math.log(hi)).map(u => math.exp(u).toInt)
+    val containment = Gen.frequency(1 -> Gen.const(0.0), 1 -> Gen.const(1.0), 6 -> Gen.choose(0.0, 1.0))
+    val prop = Prop.forAll(logUniform(2000), logUniform(20000), containment, Gen.choose(0, Int.MaxValue)) {
+      (cardA, cardB, c, salt) =>
+        val inter = math.min(cardB, math.round(c * cardA).toInt)
+        val common = (0 until inter).map(i => s"$salt-c$i")
+        val a = common ++ (inter until cardA).map(i => s"$salt-a$i")
+        val b = common ++ (inter until cardB).map(i => s"$salt-b$i")
+        val est = MinHash.estContainment(MinHash.signature(a, k), cardA, MinHash.signature(b, k), cardB)
+        val exact = inter.toDouble / cardA
+        val bound = 4 * math.sqrt((cardA + cardB).toDouble / (cardA * k))
+        Prop(math.abs(est - exact) <= bound) :| s"|A| $cardA, |B| $cardB, exact $exact, estimate $est, bound $bound"
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+  }
+
   test("signature length parameter is honoured") {
     assert(MinHash.signature(set(10), numHashes = 64).length === 64)
   }
