@@ -182,7 +182,7 @@ object TrainJointJob {
       println(f"final loss        ${joint.lossHistory.lastOption.getOrElse(0.0)}%.17g " +
         f"(bits ${joint.lossHistory.lastOption.map(java.lang.Double.doubleToRawLongBits).getOrElse(0L)}%016x)")
       println(f"train + apply     $wallS%.3f s  (second run; the first, $coldS%.3f s, warms the JIT)")
-      println(f"rel memo fill     ${s.relNs / 1e9}%.3f s  (${s.relCalls} rel calls)")
+      println(f"label split       ${s.relNs / 1e9}%.3f s  (${s.relCalls} labels thresholded, a row per anchored doc)")
       println(f"forward passes    ${s.forwardNs / 1e9}%.3f s  (${s.forwardPasses} passes in ${s.forwardCalls} calls, " +
         f"${s.forwardPasses.toDouble / math.max(1L, s.forwardCalls)}%.1f lanes per call)")
       println(f"SGD               ${s.stepNs / 1e9}%.3f s  (${s.steps} steps)")

@@ -1,6 +1,7 @@
 package repro.core
 
-import scala.collection.mutable
+import java.util.stream.IntStream
+
 import scala.util.Random
 
 import org.apache.spark.sql.SparkSession
@@ -87,23 +88,22 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
         case _                  => 0.0
       }
 
-    /** `rel(cmdl)`, with a document's whole row over `cmdl.lfs.textCols`
-      * computed on its first use and kept: both cosines by the blocked kernel
-      * (content over `lfs.annoy.vectors`, metadata over a matrix built here),
-      * BM25 from one `scoreAll`, containment and the discriminator as
-      * `pairFeatures` and `rel` compute them. Every value equals `rel`'s bit
-      * for bit; any other (doc, ref) pair is answered by `rel`. The returned
-      * function is not thread-safe.
+    /** `rel(cmdl)` of every document and text column: `relRows(cmdl)(d)(i)`
+      * is the label of `cmdl.docProfiles(d)` and `cmdl.lfs.textCols(i)`. The
+      * rows are all computed here, split across the common `ForkJoinPool`;
+      * each row on its own, with both cosines by the blocked kernel (content
+      * over `lfs.annoy.vectors`, metadata over a matrix built here), BM25 from
+      * one `scoreAll`, containment and the discriminator as `pairFeatures`
+      * and `rel` compute them. Every value equals `rel`'s bit for bit.
       */
-    def relRows(cmdl: Cmdl): (String, String) => Double = {
+    def relRows(cmdl: Cmdl): Array[Array[Double]] = {
       val cols = cmdl.lfs.textCols.toIndexedSeq
-      val colIdx = cols.iterator.map(_.ref).zipWithIndex.toMap
+      val docs = cmdl.docProfiles.toIndexedSeq
       val all = Array.range(0, cols.size)
       val content = cmdl.lfs.annoy.vectors // row i: the content embedding of cols(i)
       val meta = new EmbeddingMatrix(cols.map(_.metaEmb))
       val bm25 = cmdl.lfs.bm25Content
       val bm25At = cols.map(c => bm25.indexOf(c.ref)).toArray
-      val rows = mutable.HashMap.empty[String, Array[Double]]
       def row(d: DocProfile): Array[Double] = {
         val contentCos = new Array[Double](cols.size)
         val metaCos = new Array[Double](cols.size)
@@ -120,11 +120,9 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
           SnorkelLite.predict(discWeights, x)
         }
       }
-      (docId, colRef) =>
-        (cmdl.docById.get(docId), colIdx.get(colRef)) match {
-          case (Some(d), Some(i)) => rows.getOrElseUpdate(docId, row(d))(i)
-          case _                  => rel(cmdl)(docId, colRef)
-        }
+      val rows = new Array[Array[Double]](docs.size)
+      IntStream.range(0, docs.size).parallel().forEach(d => rows(d) = row(docs(d)))
+      rows
     }
   }
 
@@ -139,6 +137,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       gold: Option[Map[(String, String), Int]] = None,
       seed: Long = 77L,
   ): WeakLabels = {
+    requireBothModalities("weak labelling")
     val rnd = new Random(seed)
     val docs = rnd.shuffle(docProfiles.toVector)
       .take(math.max(12, (docProfiles.size * sampleFrac).toInt))
@@ -182,6 +181,12 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
     WeakLabels(gen.accuracies, mask, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)
   }
 
+  /** Fails, naming the empty side, unless the lake has documents and text-searchable columns. */
+  private def requireBothModalities(what: String): Unit =
+    require(docProfiles.nonEmpty && lfs.textCols.nonEmpty,
+      s"$what needs documents and text-searchable columns; the lake has " +
+        s"${docProfiles.size} documents and ${lfs.textCols.size} text columns")
+
   // ------------------------------------------------------------------
   // Joint representation (Figs. 4 & 5)
   // ------------------------------------------------------------------
@@ -198,13 +203,11 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
 
   /** Trains the triplet model on the weak labels and applies it to all DEs. */
   def trainJoint(labels: WeakLabels, cfg: TripletTraining.Config = TripletTraining.Config()): Joint = {
-    require(docProfiles.nonEmpty && lfs.textCols.nonEmpty,
-      s"joint training needs documents and text-searchable columns; the lake has " +
-        s"${docProfiles.size} documents and ${lfs.textCols.size} text columns")
-    val rel = labels.relRows(this)
+    requireBothModalities("joint training")
+    val rows = labels.relRows(this)
     val docDes = docProfiles.map(d => TripletTraining.De(d.id, TripletTraining.encode(d.metaEmb, d.contentEmb)))
     val colDes = lfs.textCols.map(c => TripletTraining.De(c.ref, TripletTraining.encode(c.metaEmb, c.contentEmb)))
-    val result = TripletTraining.train(docDes, colDes, rel, cfg)
+    val result = TripletTraining.train(docDes, colDes, rows(_), cfg)
     Joint(result.model, result.epochs, result.lossHistory,
       docEmb = TripletTraining.applyModel(result.model, docDes),
       colEmb = TripletTraining.applyModel(result.model, colDes),

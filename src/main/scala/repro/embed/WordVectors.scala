@@ -17,19 +17,28 @@ object WordVectors {
 
   val Dim = 100
 
+  private val Gamma = 0x9e3779b97f4a7c15L
+  private val TwoToMinus52 = java.lang.Math.scalb(1f, -52)
+
+  /** Element `i` is output `i + 1` of the splitmix64 stream seeded by the
+    * n-gram's hash, its state `z0 + (i + 1)·γ` computed on its own, so no
+    * state is carried from one element to the next. The top 53 bits `m` of
+    * the mix give `m.toFloat · 2⁻⁵² − 1`: the Long→Float conversion rounds
+    * once to nearest and a power-of-two scale is exact, so this equals
+    * `(m / 2⁵³).toFloat · 2 − 1` computed through a Double (`SeedWordVectors`)
+    * bit for bit.
+    */
   private def ngramVector(ngram: String, dim: Int): Array[Float] = {
     val out = new Array[Float](dim)
-    var z = (MurmurHash3.stringHash(ngram, 0x2545f491).toLong << 32) |
+    val z0 = (MurmurHash3.stringHash(ngram, 0x2545f491).toLong << 32) |
       (MurmurHash3.stringHash(ngram, 0x1b873593) & 0xffffffffL)
     var i = 0
     while (i < dim) {
-      // splitmix64 stream seeded by the n-gram hash
-      z += 0x9e3779b97f4a7c15L
-      var x = z
+      var x = z0 + (i + 1) * Gamma
       x = (x ^ (x >>> 30)) * 0xbf58476d1ce4e5b9L
       x = (x ^ (x >>> 27)) * 0x94d049bb133111ebL
       x = x ^ (x >>> 31)
-      out(i) = ((x >>> 11).toDouble / (1L << 53).toDouble).toFloat * 2f - 1f
+      out(i) = (x >>> 11).toFloat * TwoToMinus52 - 1f
       i += 1
     }
     out

@@ -19,7 +19,9 @@ import scala.util.Random
   * units that the JIT vectorises, with four samples sharing each sweep. Each
   * unit still sums from its bias over the inputs in ascending order, the
   * order of a row-major dot product, so the layout changes no bit of any
-  * output. `w1` and `w2` give row-major copies.
+  * output. `w1` and `w2` give row-major copies. The hidden layer's tanh is
+  * `FdLibm.tanh`, which equals `math.tanh` (`StrictMath.tanh`) bit for bit
+  * without its native call.
   *
   * Training is sequential per-triplet SGD: every `tripletStep` with a
   * positive loss writes the weights at once. `version` counts those writes,
@@ -90,7 +92,7 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
     layer(w1t, b1, xs, hs)
     for (h <- hs) {
       var i = 0
-      while (i < hiddenDim) { h(i) = math.tanh(h(i)); i += 1 }
+      while (i < hiddenDim) { h(i) = FdLibm.tanh(h(i)); i += 1 }
     }
     val outs = Array.fill(xs.length)(new Array[Double](outDim))
     layer(w2t, b2, hs, outs)
@@ -232,5 +234,5 @@ object Mlp {
   /** The fewest lanes `embedAll` gives one chunk: below this, a chunk's
     * fork and join cost more than its forward passes.
     */
-  private[joint] val MinLanes = 16
+  private[joint] val MinLanes = 8
 }

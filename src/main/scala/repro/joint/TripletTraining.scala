@@ -20,12 +20,14 @@ import scala.util.Random
   * Training is sequential per-triplet SGD: each triplet's step updates the
   * weights before the next anchor is sampled. Only the hard-sampling forward
   * passes run on several cores, inside `Mlp.embedAll`, and no step runs
-  * while they do. A training run evaluates the weak label of each (doc,
-  * column) pair at most once, and reuses a column's embedding until a step
-  * changes the weights (`Mlp.version`); none of this changes a single bit of
-  * the result. The paper's PyTorch semantics, one accumulated gradient per
-  * batch, would change the numerics and is not implemented (the first lever
-  * of ROADMAP item 1).
+  * while they do. The weak labels come in as rows: `train` asks for a
+  * document's row of labels over every column once, when it first anchors
+  * that document, and thresholds the whole row then; a batch is then split
+  * into positives and negatives by (doc index, column index). A column's
+  * embedding is reused until a step changes the weights (`Mlp.version`);
+  * none of this changes a single bit of the result. The paper's PyTorch
+  * semantics, one accumulated gradient per batch, would change the numerics
+  * and is not implemented (the first lever of ROADMAP item 1).
   */
 object TripletTraining {
 
@@ -49,9 +51,12 @@ object TripletTraining {
       seed: Long = 23L,
   )
 
-  /** Where a training run spent its time: weak-label evaluations (each one
-    * fills the per-run memo), forward passes for hard sampling (`forwardPasses`
-    * samples in `forwardCalls` batched calls), SGD steps.
+  /** Where a training run spent its time: splitting batches into positives
+    * and negatives (`relNs`, which includes thresholding each document's label
+    * row on its first anchoring; `relCalls` counts the labels so thresholded,
+    * one row of every column per anchored document), forward passes for hard
+    * sampling (`forwardPasses` samples in `forwardCalls` batched calls), SGD
+    * steps.
     * Also why anchors gave no triplet, summed over epochs: no positive in
     * the batch (`noPosAnchors`), or positives but no (hard) negative
     * (`noNegAnchors`); and the hard negatives pooled into `Avg` triplets.
@@ -83,23 +88,25 @@ object TripletTraining {
       cfg: Config,
   ): Seq[Triplet] = {
     val cols = batchCols.toIndexedSeq
-    val memo = new PosMemo(IndexedSeq(anchor), cols, rel, cfg.posThreshold)
-    anchorTriplets(0, Array.range(0, cols.size), memo, new EmbedCache(model, cols), cfg, new Tally)
+    val row = cols.map(c => rel(anchor.id, c.id)).toArray
+    val labels = new PosRows(IndexedSeq(anchor), cols, _ => row, cfg.posThreshold)
+    anchorTriplets(0, Array.range(0, cols.size), labels, new EmbedCache(model, cols), cfg, new Tally)
   }
 
   /** The triplet generator shared by `tripletsFor` and `train`: the triplets
-    * of doc `d` against the columns `batch` (indices into the memo's columns).
+    * of doc `d` against the columns `batch` (indices into the labels' columns).
     */
-  private def anchorTriplets(d: Int, batch: Array[Int], memo: PosMemo, cache: EmbedCache,
+  private def anchorTriplets(d: Int, batch: Array[Int], labels: PosRows, cache: EmbedCache,
       cfg: Config, tally: Tally): Seq[Triplet] = {
     val t0 = System.nanoTime()
-    val (pos, neg) = batch.partition(memo.isPos(d, _))
+    val isPos = labels.row(d)
+    val (pos, neg) = batch.partition(c => isPos(c))
     tally.relNs += System.nanoTime() - t0
     // anchors without both are ignored
     if (pos.isEmpty) { tally.noPos += 1; return Seq.empty }
     if (neg.isEmpty) { tally.noNeg += 1; return Seq.empty }
-    val anchor = memo.docs(d).enc
-    def enc(c: Int) = memo.cols(c).enc
+    val anchor = labels.docs(d).enc
+    def enc(c: Int) = labels.cols(c).enc
     cfg.hardStrategy match {
       case HardStrategy.None =>
         for (p <- pos.toSeq; nn <- neg.toSeq) yield (anchor, enc(p), enc(nn))
@@ -119,9 +126,10 @@ object TripletTraining {
   }
 
   /** Full training loop: epochs of covering mini-batch partitions until the
-    * epoch loss change falls below the tolerance.
+    * epoch loss change falls below the tolerance. `rows(d)` holds doc `d`'s
+    * weak labels over `cols`, in order; it is asked for at most once per doc.
     */
-  def train(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double,
+  def train(docs: Seq[De], cols: Seq[De], rows: Int => Array[Double],
       cfg: Config = Config()): Result = {
     require(docs.nonEmpty && cols.nonEmpty, "need DEs of both modalities")
     require(cfg.batchFrac > 0 && cfg.batchFrac <= 1, s"batchFrac must be in (0, 1], got ${cfg.batchFrac}")
@@ -129,8 +137,8 @@ object TripletTraining {
     require(cfg.margin >= 0, s"margin must be non-negative, got ${cfg.margin}")
     require(cfg.maxEpochs >= 0, s"maxEpochs must be non-negative, got ${cfg.maxEpochs}")
     val model = new Mlp(seed = cfg.seed)
-    val memo = new PosMemo(docs.toIndexedSeq, cols.toIndexedSeq, rel, cfg.posThreshold)
-    val cache = new EmbedCache(model, memo.cols)
+    val labels = new PosRows(docs.toIndexedSeq, cols.toIndexedSeq, rows, cfg.posThreshold)
+    val cache = new EmbedCache(model, labels.cols)
     val tally = new Tally
     val nBatches = math.max(1, math.ceil(1.0 / cfg.batchFrac).toInt)
     val rnd = new Random(cfg.seed)
@@ -142,7 +150,7 @@ object TripletTraining {
       var epochLoss = 0.0
       var count = 0
       for ((db, cb) <- miniBatches(docs.size, cols.size, nBatches, rnd); d <- db) {
-        for ((a, p, nn) <- anchorTriplets(d, cb, memo, cache, cfg, tally)) {
+        for ((a, p, nn) <- anchorTriplets(d, cb, labels, cache, cfg, tally)) {
           val t0 = System.nanoTime()
           epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
           tally.stepNs += System.nanoTime() - t0
@@ -156,8 +164,8 @@ object TripletTraining {
         converged = true
       epoch += 1
     }
-    val stats = Stats(memo.calls, tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets, tally.stepNs,
-      tally.noPos, tally.noNeg, tally.hardNegs)
+    val stats = Stats(labels.thresholded, tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets,
+      tally.stepNs, tally.noPos, tally.noNeg, tally.hardNegs)
     Result(model, epoch, losses.toVector, triplets, stats)
   }
 
@@ -186,23 +194,27 @@ object TripletTraining {
     pairs.map { case (d, c) => (d.toArray, c.toArray) }
   }
 
-  /** The weak-label test rel(doc, col) ≥ threshold for one training run,
-    * evaluated at most once per (doc, col) index pair. A doc's row is
-    * allocated when the doc is first anchored.
+  /** The weak-label test label ≥ threshold for one training run, by (doc,
+    * column) index: doc `d`'s row is asked of `rows` and thresholded whole
+    * when `d` is first anchored, and kept.
     */
-  private final class PosMemo(val docs: IndexedSeq[De], val cols: IndexedSeq[De],
-      rel: (String, String) => Double, threshold: Double) {
-    private val rows = new Array[Array[Byte]](docs.size) // 0 unknown, 1 positive, 2 negative
-    var calls = 0L
+  private final class PosRows(val docs: IndexedSeq[De], val cols: IndexedSeq[De],
+      rows: Int => Array[Double], threshold: Double) {
+    private val pos = new Array[Array[Boolean]](docs.size)
+    /** Labels thresholded so far: `cols.size` per anchored doc. */
+    var thresholded = 0L
 
-    def isPos(d: Int, c: Int): Boolean = {
-      if (rows(d) == null) rows(d) = new Array[Byte](cols.size)
-      val row = rows(d)
-      if (row(c) == 0) {
-        row(c) = if (rel(docs(d).id, cols(c).id) >= threshold) 1 else 2
-        calls += 1
+    def row(d: Int): Array[Boolean] = {
+      if (pos(d) == null) {
+        val r = rows(d)
+        require(r.length == cols.size, s"label row ${docs(d).id} has ${r.length} entries for ${cols.size} columns")
+        val p = new Array[Boolean](r.length)
+        var c = 0
+        while (c < r.length) { p(c) = r(c) >= threshold; c += 1 }
+        pos(d) = p
+        thresholded += r.length
       }
-      row(c) == 1
+      pos(d)
     }
   }
 

@@ -25,26 +25,31 @@ object MinHash {
   /** Murmur's per-block scramble, done once per block for all chains. */
   private def scramble(data: Int): Int = MurmurHash3.mixLast(0, data)
 
-  /** k-minwise signature of a value set. Empty sets get Long.MaxValue rows. */
+  /** k-minwise signature of a value set. Empty sets get Long.MaxValue rows.
+    * Chain `i` of the `2k` Murmur chains is row `i`'s high half, chain `k + i`
+    * its low half. After a value's chars are folded in, one pass finalises
+    * every chain (`finalizeHash`, `fmix32(h ^ length)`), and a second joins
+    * each row's halves through splitmix64 and keeps the row's minimum.
+    */
   def signature(values: Iterable[String], numHashes: Int = DefaultNumHashes): Array[Long] = {
     val sig = Array.fill(numHashes)(Long.MaxValue)
-    val seedHi = Array.tabulate(numHashes)(i => i * 0x9e3779b9 + 1)
-    val seedLo = seedHi.map(_ ^ 0x5bd1e995)
-    val hi = new Array[Int](numHashes)
-    val lo = new Array[Int](numHashes)
+    val lanes = 2 * numHashes
+    val seeds = Array.tabulate(lanes) { c =>
+      val s = (c % numHashes) * 0x9e3779b9 + 1
+      if (c < numHashes) s else s ^ 0x5bd1e995
+    }
+    val h = new Array[Int](lanes)
     for (v <- values) {
-      System.arraycopy(seedHi, 0, hi, 0, numHashes)
-      System.arraycopy(seedLo, 0, lo, 0, numHashes)
+      System.arraycopy(seeds, 0, h, 0, lanes)
       var i = 0
       val n = v.length
       var c = 0
       while (c + 1 < n) {
         val k = scramble((v.charAt(c) << 16) + v.charAt(c + 1))
         i = 0
-        while (i < numHashes) {
+        while (i < lanes) {
           // MurmurHash3.mix with the scramble hoisted out of the lane loop
-          hi(i) = Integer.rotateLeft(hi(i) ^ k, 13) * 5 + 0xe6546b64
-          lo(i) = Integer.rotateLeft(lo(i) ^ k, 13) * 5 + 0xe6546b64
+          h(i) = Integer.rotateLeft(h(i) ^ k, 13) * 5 + 0xe6546b64
           i += 1
         }
         c += 2
@@ -52,17 +57,18 @@ object MinHash {
       if (c < n) { // odd length: MurmurHash3.mixLast of the last char
         val k = scramble(v.charAt(c).toInt)
         i = 0
-        while (i < numHashes) { hi(i) ^= k; lo(i) ^= k; i += 1 }
+        while (i < lanes) { h(i) ^= k; i += 1 }
       }
+      i = 0
+      while (i < lanes) { h(i) = MurmurHash3.finalizeHash(h(i), n); i += 1 }
       i = 0
       while (i < numHashes) {
         // splitmix64 finaliser over the two 32-bit halves
-        var z = (MurmurHash3.finalizeHash(hi(i), n).toLong << 32) |
-          (MurmurHash3.finalizeHash(lo(i), n) & 0xffffffffL)
+        var z = (h(i).toLong << 32) | (h(numHashes + i) & 0xffffffffL)
         z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
         z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
         z ^= z >>> 31
-        if (z < sig(i)) sig(i) = z
+        sig(i) = math.min(sig(i), z)
         i += 1
       }
     }

@@ -128,19 +128,38 @@ class CmdlSpec extends SparkSpec {
     assert(cmdl.pairFeatures(d, c).forall(f => f >= 0.0 && f <= 1.0))
   }
 
-  test("relRows equals rel bit for bit on every (doc, text column) pair, a non-text column and unknown ids") {
+  test("relRows equals rel bit for bit on every (doc, text column) pair") {
     def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
     for (c <- Seq(cmdl, TestFixtures.cmdlUkOpen)) {
       val wl = if (c eq cmdl) labels else c.weakLabels()
       val (rel, rows) = (wl.rel(c) _, wl.relRows(c))
-      val nonText = c.colProfiles.filterNot(p => c.lfs.textCols.exists(_.ref == p.ref)).map(_.ref)
-      assert(nonText.nonEmpty)
-      // columns in reverse, so a row is filled from its last column's first use
-      for (d <- c.docProfiles; col <- c.lfs.textCols.reverse.map(_.ref) ++ nonText.take(3) :+ "nada.zip")
-        assert(bits(rows(d.id, col)) === bits(rel(d.id, col)), s"${d.id} $col")
-      val col = c.lfs.textCols.head.ref
-      assert(rows("nope", col) === 0.0 && rel("nope", col) === 0.0)
+      assert(rows.length === c.docProfiles.size)
+      for ((d, row) <- c.docProfiles.zip(rows)) {
+        assert(row.length === c.lfs.textCols.size)
+        for ((col, x) <- c.lfs.textCols.zip(row)) assert(bits(x) === bits(rel(d.id, col.ref)), s"${d.id} ${col.ref}")
+      }
     }
+  }
+
+  /** `weakLabels()`'s message on `lake`, which lacks documents, text columns or both. */
+  private def weakLabelsFailure(lake: Lake): String =
+    intercept[IllegalArgumentException](new Cmdl(spark, lake).weakLabels()).getMessage
+
+  test("weakLabels on an empty lake fails, naming both empty sides") {
+    assert(weakLabelsFailure(tinyLake(Seq.empty)) === "requirement failed: weak labelling needs documents and " +
+      "text-searchable columns; the lake has 0 documents and 0 text columns")
+  }
+
+  test("weakLabels on a lake without documents fails, naming the empty side") {
+    val texts = cmdl.lfs.textCols.size
+    assert(weakLabelsFailure(TestFixtures.pharma.copy(docs = Vector.empty))
+      .endsWith(s"the lake has 0 documents and $texts text columns"))
+  }
+
+  test("weakLabels on a lake without tables fails, naming the empty side") {
+    val docs = cmdl.docProfiles.size
+    assert(weakLabelsFailure(TestFixtures.pharma.copy(tables = Vector.empty))
+      .endsWith(s"the lake has $docs documents and 0 text columns"))
   }
 
   private val drugNames = Seq("aspirin", "ibuprofen", "naproxen", "codeine", "morphine", "insulin")

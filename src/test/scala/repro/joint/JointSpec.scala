@@ -158,7 +158,7 @@ class MlpSpec extends AnyFunSuite {
 
 class TripletTrainingSpec extends AnyFunSuite {
   import TripletTraining._
-  import TripletTrainingSpec.{counting, world}
+  import TripletTrainingSpec.{rowsOf, world}
 
   test("encode concatenates metadata and content embeddings") {
     val m = Array.fill(3)(1f); val c = Array.fill(2)(2f)
@@ -167,14 +167,14 @@ class TripletTrainingSpec extends AnyFunSuite {
 
   test("training converges and loss decreases") {
     val (docs, cols, rel) = world(1)
-    val res = train(docs, cols, rel, Config(maxEpochs = 60, batchFrac = 0.5, seed = 2))
+    val res = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 60, batchFrac = 0.5, seed = 2))
     assert(res.lossHistory.nonEmpty)
     assert(res.lossHistory.last <= res.lossHistory.max)
   }
 
   test("after training, related pairs are closer than unrelated pairs") {
     val (docs, cols, rel) = world(2)
-    val res = train(docs, cols, rel, Config(maxEpochs = 80, batchFrac = 0.5, seed = 3))
+    val res = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 80, batchFrac = 0.5, seed = 3))
     val emb = applyModel(res.model, docs ++ cols)
     def d(a: String, b: String): Double = {
       val (x, y) = (emb(a), emb(b))
@@ -209,28 +209,29 @@ class TripletTrainingSpec extends AnyFunSuite {
 
   test("hard sampling generates fewer total triplets than the quadratic mode") {
     val (docs, cols, rel) = world(6)
-    val hard = train(docs, cols, rel, Config(maxEpochs = 5, batchFrac = 0.5, seed = 4))
-    val full = train(docs, cols, rel, Config(maxEpochs = 5, batchFrac = 0.5, seed = 4,
+    val hard = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 5, batchFrac = 0.5, seed = 4))
+    val full = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 5, batchFrac = 0.5, seed = 4,
       hardStrategy = HardStrategy.None))
     assert(hard.totalTriplets < full.totalTriplets)
   }
 
   test("training requires both modalities") {
     intercept[IllegalArgumentException] {
-      train(Seq.empty, Seq(De("c", Array(1.0))), (_, _) => 0.5)
+      train(Seq.empty, Seq(De("c", Array(1.0))), _ => Array(0.5))
     }
   }
 
   test("train rejects bad configurations with a clear message") {
     val (docs, cols, rel) = world(8)
-    def reason(cfg: Config) = intercept[IllegalArgumentException](train(docs, cols, rel, cfg)).getMessage
+    def reason(cfg: Config) = intercept[IllegalArgumentException](train(docs, cols, rowsOf(docs, cols, rel), cfg))
+      .getMessage
     assert(reason(Config(batchFrac = 0.0)).contains("batchFrac"))
     assert(reason(Config(batchFrac = 1.5)).contains("batchFrac"))
     assert(reason(Config(batchFrac = Double.NaN)).contains("batchFrac"))
     assert(reason(Config(lr = 0.0)).contains("lr"))
     assert(reason(Config(margin = -0.1)).contains("margin"))
     assert(reason(Config(maxEpochs = -1)).contains("maxEpochs"))
-    assert(train(docs, cols, rel, Config(maxEpochs = 0)).epochs === 0)
+    assert(train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 0)).epochs === 0)
   }
 
   test("every doc and column lands in exactly one batch pair per epoch") {
@@ -241,17 +242,20 @@ class TripletTrainingSpec extends AnyFunSuite {
       assert(pairs.flatMap(_._2).sorted === (0 until 40))
       assert(pairs.forall { case (d, c) => d.nonEmpty && c.nonEmpty })
     }
-    // the same through train: one epoch sees every DE
+    // the same through train: one epoch anchors every doc once, against the columns of one batch
     val docs = (1 to 14).map(i => De(s"d$i", Array.fill(200)(i * 0.01)))
     val cols = (1 to 40).map(i => De(s"c$i", Array.fill(200)(-i * 0.01)))
-    val (rel, calls) = counting((_, _) => 0.1)
-    train(docs, cols, rel, Config(maxEpochs = 1))
-    val seen = calls.keySet
-    assert(seen.map(_._1) === docs.map(_.id).toSet)
-    assert(seen.map(_._2) === cols.map(_.id).toSet)
-    // each doc met the columns of exactly one batch: the docs' column sets partition the columns
-    val batchCols = seen.groupBy(_._1).values.map(_.map(_._2)).toSet
-    assert(batchCols.toSeq.map(_.size).sum === cols.size)
+    val cfg = Config(maxEpochs = 1)
+    val none = train(docs, cols, _ => Array.fill(cols.size)(0.1), cfg)
+    assert(none.stats.noPosAnchors === docs.size)
+    // column c alone positive for every doc: exactly the docs whose batch holds c find a positive
+    val metBy = miniBatches(docs.size, cols.size, math.ceil(1.0 / cfg.batchFrac).toInt, new Random(cfg.seed))
+      .flatMap { case (d, c) => c.map(_ -> d.length) }.toMap
+    for (c <- new Random(9).shuffle(cols.indices.toVector).take(6)) {
+      val row = Array.tabulate(cols.size)(i => if (i == c) 0.9 else 0.1)
+      val one = train(docs, cols, _ => row, cfg)
+      assert(docs.size - one.stats.noPosAnchors === metBy(c), s"column $c")
+    }
   }
 
   test("batches are cut as before wherever both sides split into the same count") {
@@ -270,14 +274,23 @@ class TripletTrainingSpec extends AnyFunSuite {
     }
   }
 
-  test("rel is evaluated at most once per (doc, column) pair") {
+  test("each document's label row is asked for at most once") {
     val (docs, cols, rel) = world(9)
-    val (counted, calls) = counting(rel)
-    val res = train(docs, cols, counted, Config(maxEpochs = 30, batchFrac = 0.5, convergenceTol = 0.0))
+    val asked = mutable.Map.empty[Int, Int].withDefaultValue(0)
+    val rows = rowsOf(docs, cols, rel)
+    val res = train(docs, cols, d => { asked(d) += 1; rows(d) },
+      Config(maxEpochs = 30, batchFrac = 0.5, convergenceTol = 0.0))
     assert(res.epochs === 30)
-    assert(calls.values.forall(_ == 1), calls.filter(_._2 > 1))
-    assert(res.stats.relCalls === calls.size)
-    assert(calls.size <= docs.size * cols.size)
+    assert(asked.keySet === docs.indices.toSet) // every doc was anchored
+    assert(asked.values.forall(_ == 1), asked.filter(_._2 > 1))
+    // relCalls counts the labels thresholded: one whole row per anchored doc
+    assert(res.stats.relCalls === docs.size.toLong * cols.size)
+  }
+
+  test("a label row of the wrong length fails, naming the document") {
+    val (docs, cols, _) = world(12)
+    val e = intercept[IllegalArgumentException](train(docs, cols, _ => Array(0.9), Config()))
+    assert(e.getMessage.contains(s"has 1 entries for ${cols.size} columns"), e.getMessage)
   }
 
   test("cached embeddings are recomputed after a weight-changing step and reused after a zero-loss step") {
@@ -306,7 +319,7 @@ class TripletTrainingSpec extends AnyFunSuite {
     val (docs, cols, rel) = world(11)
     for (cfg <- Seq(Config(maxEpochs = 40, batchFrac = 0.5, seed = 2), Config(maxEpochs = 40, batchFrac = 0.25),
         Config(maxEpochs = 6, batchFrac = 0.5, hardStrategy = HardStrategy.None, seed = 4))) {
-      val res = train(docs, cols, rel, cfg)
+      val res = train(docs, cols, rowsOf(docs, cols, rel), cfg)
       assert(res.totalTriplets > 0)
       ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
     }
@@ -331,11 +344,9 @@ object TripletTrainingSpec {
     (docs, cols, rel)
   }
 
-  /** `rel` wrapped to count its calls per (doc, col) pair. */
-  def counting(rel: (String, String) => Double): ((String, String) => Double, mutable.Map[(String, String), Int]) = {
-    val calls = mutable.Map.empty[(String, String), Int].withDefaultValue(0)
-    ((d: String, c: String) => { calls((d, c)) += 1; rel(d, c) }, calls)
-  }
+  /** `train`'s label rows from a pairwise `rel`: row `d` is doc `d`'s `rel` to every column, in order. */
+  def rowsOf(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double): Int => Array[Double] =
+    d => cols.map(c => rel(docs(d).id, c.id)).toArray
 }
 
 /** The per-triplet training loop as first written: every anchor partitions
@@ -441,7 +452,8 @@ class JointGoldenSpec extends SparkSpec {
     // the reference loop drops batches unless both sides split into the same count
     def groups(n: Int) = math.ceil(n / math.ceil(n / 5.0)).toInt
     assert(groups(docs.size) === groups(cols.size), s"${docs.size} docs, ${cols.size} columns")
-    val res = train(docs, cols, rel, cfg)
+    val rows = labels.relRows(cmdl)
+    val res = train(docs, cols, rows(_), cfg)
     assert(res.totalTriplets > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
     ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
   }
