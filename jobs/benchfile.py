@@ -12,6 +12,11 @@ prints. Standard library only.
 `make` reads each run's output and keeps its last line (the cmdlbench JSON);
 `diff` prints every metric of both files with its relative change, and every
 table row that differs.
+
+Exit status of `diff`: 0 when every Table 1-5 row and row count is the same
+in both files, 1 when any of them differs. The Table 1-5 rows are
+deterministic in (scale, seed); Table 6 (probe throughput) varies from run to
+run and, like the cmdlbench metrics, does not set the status.
 """
 import argparse
 import json
@@ -19,6 +24,8 @@ import re
 import sys
 
 HEADER = re.compile(r"^=== (Table \d+): .* ===$")
+# The deterministic tables, whose rows `diff` requires to be equal.
+EXACT_TABLES = {f"Table {n}" for n in range(1, 6)}
 LOG_LINE = re.compile(r"^(\[|\d\d/\d\d/\d\d |Using Spark|\s*$)")
 
 
@@ -77,6 +84,7 @@ def diff(args):
                 rel = f"{(vb - va) / abs(va):+.1%}" if va and vb is not None else ""
                 print(f"  {name:<40} {va!s:>14} {vb!s:>14} {rel:>8} {unit}")
     print()
+    differs = False
     for table in sorted(set(a["tables"]) | set(b["tables"])):
         ta, tb = a["tables"].get(table, []), b["tables"].get(table, [])
         changed = [(x, y) for x, y in zip(ta, tb) if x != y]
@@ -86,6 +94,9 @@ def diff(args):
             print(f"{table}: {'  '.join(x)}\n{' ' * len(table)}  {'  '.join(y)}")
         if not changed and len(ta) == len(tb):
             print(f"{table}: identical")
+        elif table in EXACT_TABLES:
+            differs = True
+    return 1 if differs else 0
 
 
 def main():
@@ -100,7 +111,10 @@ def main():
     d.add_argument("before")
     d.add_argument("after")
     args = p.parse_args()
-    make(args) if args.cmd == "make" else diff(args)
+    if args.cmd == "make":
+        make(args)
+    else:
+        sys.exit(diff(args))
 
 
 if __name__ == "__main__":

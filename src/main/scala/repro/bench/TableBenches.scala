@@ -222,17 +222,18 @@ object TableBenches {
 
   final case class Table6Row(function: String, index: String, qps: Double)
 
-  /** Timed passes per probe in `table6`. */
+  /** Timed passes per probe in `table6`, and the probes in each pass. */
   private val Table6Passes = 5
+  private val Table6Queries = 200
 
-  /** Qps of each labeling-function probe over `nQueries` UK-Open documents.
+  /** Qps of each labeling-function probe over `Table6Queries` UK-Open documents.
     * After one warm-up pass each, the three probes take turns, one pass each,
     * for `Table6Passes` rounds, so host noise hits them alike; a probe's Qps
     * is that of its median pass.
     */
-  def table6(ctx: Ctx, nQueries: Int = 200): Seq[Table6Row] = {
+  def table6(ctx: Ctx): Seq[Table6Row] = {
     val cmdl = ctx.ukOpen
-    val docs = Iterator.continually(cmdl.docProfiles).flatten.take(nQueries).toSeq
+    val docs = Iterator.continually(cmdl.docProfiles).flatten.take(Table6Queries).toSeq
     val k = 10
     val probes: Seq[() => Unit] = Seq(
       () => docs.foreach(d => cmdl.lfs.bm25Content.query(d.bag, k)),
@@ -248,9 +249,9 @@ object TableBenches {
     }
     val Seq(tContent, tContain, tSemantic) = secs.toSeq.map(s => s.sorted.apply(Table6Passes / 2))
     Seq(
-      Table6Row("Content search", "BM25 (elastic-search substitute)", nQueries / tContent),
-      Table6Row("Containment", "LSHEnsemble", nQueries / tContain),
-      Table6Row("Semantic", "Annoy (RP forest)", nQueries / tSemantic),
+      Table6Row("Content search", "BM25 (elastic-search substitute)", Table6Queries / tContent),
+      Table6Row("Containment", "LSHEnsemble", Table6Queries / tContain),
+      Table6Row("Semantic", "Annoy (RP forest)", Table6Queries / tSemantic),
     )
   }
 

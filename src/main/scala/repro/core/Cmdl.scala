@@ -9,7 +9,7 @@ import org.apache.spark.sql.SparkSession
 import repro.discover.{DocToTable, JoinDiscovery, UnionDiscovery}
 import repro.embed.{EmbeddingMatrix, WordVectors}
 import repro.joint.{Mlp, TripletTraining}
-import repro.label.{GoldTuning, LabelingFunctions, SnorkelLite}
+import repro.label.{LabelingFunctions, SnorkelLite}
 import repro.lake.Lake
 import repro.profile.{ColumnProfile, DocProfile, Profiler}
 import repro.sketch.MinHash
@@ -20,12 +20,12 @@ import repro.text.Bm25Index
   *
   * Construction runs the distributed profiler over both modalities and
   * builds every index of §3. `weakLabels` runs the Fig. 3 pipeline
-  * (sampling, LF probes, optional gold tuning, generative EM, discriminator)
+  * (sampling, LF probes, generative EM, discriminator)
   * and returns a relatedness function over (doc, column) pairs; `trainJoint`
   * runs the Fig. 4/5 triplet workflow and returns joint embeddings for all
   * DEs of both modalities.
   */
-final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
+final class Cmdl(spark: SparkSession, val lake: Lake) {
 
   val colProfiles: Seq[ColumnProfile] = Profiler.profileColumns(spark, lake.rawColumns)
   val docProfiles: Seq[DocProfile] = Profiler.profileDocs(spark, lake.docs)
@@ -37,7 +37,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
   val docById: Map[String, DocProfile] = Cmdl.uniqueBy(docProfiles, "document id")(_.id, _.collection)
 
   /** The four labeling-function indexes of Fig. 3 (also Table 6's probes). */
-  val lfs = new LabelingFunctions(colProfiles, lfTopK)
+  val lfs = new LabelingFunctions(colProfiles)
 
   /** Solo-embedding Doc→Table scan over the text columns' content embeddings
     * (SRQL's cross-modal search without a joint model). It shares the matrix
@@ -75,7 +75,6 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
 
   final case class WeakLabels(
       lfAccuracies: Seq[Double],
-      lfMask: Seq[Boolean],
       discWeights: Array[Double],
       sampledDocs: Seq[String],
       sampledCols: Seq[String],
@@ -127,16 +126,11 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
   }
 
   /** Runs the Fig. 3 training-dataset generator: sample both modalities,
-    * probe the LF indexes, optionally switch off weak LFs using gold labels,
-    * fit the generative model, then train the discriminator.
-    *
-    * @param gold optional tiny gold set: (docId, colRef) → 0/1
+    * probe the LF indexes, fit the generative model over all four LFs, then
+    * train the discriminator. The paper's gold-label tuning (§4.1) is not
+    * implemented; see DESIGN.md §2.
     */
-  def weakLabels(
-      sampleFrac: Double = 0.1,
-      gold: Option[Map[(String, String), Int]] = None,
-      seed: Long = 77L,
-  ): WeakLabels = {
+  def weakLabels(sampleFrac: Double = 0.1, seed: Long = 77L): WeakLabels = {
     requireBothModalities("weak labelling")
     val rnd = new Random(seed)
     val docs = rnd.shuffle(docProfiles.toVector)
@@ -145,29 +139,16 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       .take(math.max(12, (lfs.textCols.size * sampleFrac).toInt))
 
     // one probe per sampled document labels it against every sampled column
-    val probes: Seq[(DocProfile, Map[String, Set[String]])] = docs.map(d => (d, lfs.probe(d)))
     val pairs = for {
-      (d, probe) <- probes
+      d <- docs
+      probe = lfs.probe(d)
       c <- cols
-      votes = lfs.votes(probe, c.ref)
-    } yield SnorkelLite.LabeledPair(d.id, c.ref, votes)
+    } yield SnorkelLite.LabeledPair(d.id, c.ref, lfs.votes(probe, c.ref))
 
     // the generative model only considers pairs voted 1 by at least one LF
     val positivePairs = pairs.filter(_.votes.sum > 0)
 
-    val mask: Seq[Boolean] = gold match {
-      case Some(g) if g.nonEmpty =>
-        val probeById = probes.map { case (d, pr) => d.id -> pr }.toMap
-        val goldVotes = g.toSeq.flatMap { case ((docId, colRef), label) =>
-          probeById.get(docId).orElse(
-            docById.get(docId).map(lfs.probe)
-          ).map(pr => (lfs.votes(pr, colRef), label))
-        }
-        GoldTuning.keepMask(goldVotes)
-      case _ => Seq.fill(lfs.names.size)(true)
-    }
-
-    val gen = SnorkelLite.generative(positivePairs, mask)
+    val gen = SnorkelLite.generative(positivePairs)
 
     // discriminator: probabilistic positives + the all-zero-vote pairs as
     // (near-)negatives so the classifier sees both classes
@@ -178,7 +159,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake, lfTopK: Int = 10) {
       negPairs.map(p => (pairFeatures(docById(p.doc), colByRef(p.col)), 0.02))
     val w = SnorkelLite.trainDiscriminator(trainData.toIndexedSeq, seed = seed)
 
-    WeakLabels(gen.accuracies, mask, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)
+    WeakLabels(gen.accuracies, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)
   }
 
   /** Fails, naming the empty side, unless the lake has documents and text-searchable columns. */

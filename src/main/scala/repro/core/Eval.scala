@@ -1,20 +1,12 @@
 package repro.core
 
-/** Evaluation metrics of §6: precision/recall over top-k answers,
+/** Evaluation metrics of §6: precision/recall of a result set,
   * R-precision (precision=recall when k equals the ground-truth size,
   * Table 3), and Relative Recall (Table 5).
   */
 object Eval {
 
   final case class Pr(precision: Double, recall: Double)
-
-  /** Precision and recall of a ranked answer list truncated at k. */
-  def prAtK[A](ranked: Seq[A], truth: Set[A], k: Int): Pr = {
-    if (truth.isEmpty) return Pr(0.0, 0.0)
-    val top = ranked.take(k)
-    val hits = top.count(truth.contains)
-    Pr(if (top.isEmpty) 0.0 else hits.toDouble / top.size, hits.toDouble / truth.size)
-  }
 
   /** R-precision: k is the per-query ground-truth size, so precision ==
     * recall [25]; returned averaged over the query set (Table 3 protocol).

@@ -56,13 +56,8 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
   /** Number of weight writes (one per backprop pass) so far; unchanged while the weights are. */
   def version: Long = writes
 
-  /** Forward pass: hidden activations and output embedding. */
-  def forward(x: Array[Double]): (Array[Double], Array[Double]) = {
-    val (hs, outs) = forwardAll(Array(x))
-    (hs(0), outs(0))
-  }
-
-  def embed(x: Array[Double]): Array[Double] = forward(x)._2
+  /** Forward pass: the output embedding of one sample. */
+  def embed(x: Array[Double]): Array[Double] = forwardAll(Array(x))._2(0)
 
   /** `embed` of every sample. The lanes are cut into contiguous chunks that
     * run on the common `ForkJoinPool`, the caller running the first; a batch
@@ -144,12 +139,6 @@ final class Mlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: Int 
     var s = 0.0; var i = 0
     while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
     s
-  }
-
-  /** Triplet loss of Eq. 1 for (anchor, positive, negative) inputs. */
-  def tripletLoss(a: Array[Double], p: Array[Double], n: Array[Double], margin: Double): Double = {
-    val fa = embed(a); val fp = embed(p); val fn = embed(n)
-    math.max(0.0, margin + dist2(fa, fp) - dist2(fa, fn))
   }
 
   /** One SGD step on a triplet; returns the (pre-update) loss. Gradients:

@@ -14,8 +14,8 @@ import scala.util.Random
   * instance, and only the *hard* negatives — those whose current joint-space
   * distance to the anchor is at most the mean negative distance — are
   * aggregated into the negative instance, yielding exactly one triplet per
-  * anchor. `HardStrategy.None` generates all quadratic positive×negative
-  * combinations instead (the ablation of Fig. 10b).
+  * anchor. The quadratic positive×negative triplet set of the Fig. 10b
+  * ablation is not implemented (DESIGN.md §2).
   *
   * Training is sequential per-triplet SGD: each triplet's step updates the
   * weights before the next anchor is sampled. Only the hard-sampling forward
@@ -31,12 +31,6 @@ import scala.util.Random
   */
 object TripletTraining {
 
-  sealed trait HardStrategy
-  object HardStrategy {
-    case object Avg extends HardStrategy
-    case object None extends HardStrategy
-  }
-
   /** A discoverable element ready for training: id + 200-d input encoding. */
   final case class De(id: String, enc: Array[Double])
 
@@ -47,7 +41,6 @@ object TripletTraining {
       maxEpochs: Int = 300,
       convergenceTol: Double = 1e-4,
       posThreshold: Double = 0.5,
-      hardStrategy: HardStrategy = HardStrategy.Avg,
       seed: Long = 23L,
   )
 
@@ -56,16 +49,15 @@ object TripletTraining {
     * row on its first anchoring; `relCalls` counts the labels so thresholded,
     * one row of every column per anchored document), forward passes for hard
     * sampling (`forwardPasses` samples in `forwardCalls` batched calls), SGD
-    * steps.
+    * steps; `steps` is also the number of triplets trained on, one step each.
     * Also why anchors gave no triplet, summed over epochs: no positive in
     * the batch (`noPosAnchors`), or positives but no (hard) negative
-    * (`noNegAnchors`); and the hard negatives pooled into `Avg` triplets.
+    * (`noNegAnchors`); and the hard negatives pooled into triplets.
     */
   final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardCalls: Long,
       forwardNs: Long, steps: Long, stepNs: Long, noPosAnchors: Long, noNegAnchors: Long, hardNegatives: Long)
 
-  final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long,
-      stats: Stats)
+  final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], stats: Stats)
 
   type Triplet = (Array[Double], Array[Double], Array[Double])
 
@@ -90,39 +82,35 @@ object TripletTraining {
     val cols = batchCols.toIndexedSeq
     val row = cols.map(c => rel(anchor.id, c.id)).toArray
     val labels = new PosRows(IndexedSeq(anchor), cols, _ => row, cfg.posThreshold)
-    anchorTriplets(0, Array.range(0, cols.size), labels, new EmbedCache(model, cols), cfg, new Tally)
+    anchorTriplet(0, Array.range(0, cols.size), labels, new EmbedCache(model, cols), new Tally).toSeq
   }
 
-  /** The triplet generator shared by `tripletsFor` and `train`: the triplets
-    * of doc `d` against the columns `batch` (indices into the labels' columns).
+  /** The triplet generator shared by `tripletsFor` and `train`: the triplet,
+    * if any, of doc `d` against the columns `batch` (indices into the labels'
+    * columns).
     */
-  private def anchorTriplets(d: Int, batch: Array[Int], labels: PosRows, cache: EmbedCache,
-      cfg: Config, tally: Tally): Seq[Triplet] = {
+  private def anchorTriplet(d: Int, batch: Array[Int], labels: PosRows, cache: EmbedCache,
+      tally: Tally): Option[Triplet] = {
     val t0 = System.nanoTime()
     val isPos = labels.row(d)
     val (pos, neg) = batch.partition(c => isPos(c))
     tally.relNs += System.nanoTime() - t0
     // anchors without both are ignored
-    if (pos.isEmpty) { tally.noPos += 1; return Seq.empty }
-    if (neg.isEmpty) { tally.noNeg += 1; return Seq.empty }
+    if (pos.isEmpty) { tally.noPos += 1; return None }
+    if (neg.isEmpty) { tally.noNeg += 1; return None }
     val anchor = labels.docs(d).enc
     def enc(c: Int) = labels.cols(c).enc
-    cfg.hardStrategy match {
-      case HardStrategy.None =>
-        for (p <- pos.toSeq; nn <- neg.toSeq) yield (anchor, enc(p), enc(nn))
-      case HardStrategy.Avg =>
-        val t1 = System.nanoTime()
-        val (aEmb, negEmb) = cache.embed(anchor, neg)
-        tally.forwardNs += System.nanoTime() - t1
-        val dists = negEmb.map(cache.model.dist2(aEmb, _))
-        var sum = 0.0
-        dists.foreach(sum += _)
-        val cutoff = sum / dists.length
-        val hard = neg.indices.filter(dists(_) <= cutoff).map(i => enc(neg(i)))
-        tally.hardNegs += hard.size
-        if (hard.isEmpty) { tally.noNeg += 1; Seq.empty }
-        else Seq((anchor, mean(pos.toSeq.map(enc)), mean(hard)))
-    }
+    val t1 = System.nanoTime()
+    val (aEmb, negEmb) = cache.embed(anchor, neg)
+    tally.forwardNs += System.nanoTime() - t1
+    val dists = negEmb.map(cache.model.dist2(aEmb, _))
+    var sum = 0.0
+    dists.foreach(sum += _)
+    val cutoff = sum / dists.length
+    val hard = neg.indices.filter(dists(_) <= cutoff).map(i => enc(neg(i)))
+    tally.hardNegs += hard.size
+    if (hard.isEmpty) { tally.noNeg += 1; None }
+    else Some((anchor, mean(pos.toSeq.map(enc)), mean(hard)))
   }
 
   /** Full training loop: epochs of covering mini-batch partitions until the
@@ -150,7 +138,7 @@ object TripletTraining {
       var epochLoss = 0.0
       var count = 0
       for ((db, cb) <- miniBatches(docs.size, cols.size, nBatches, rnd); d <- db) {
-        for ((a, p, nn) <- anchorTriplets(d, cb, labels, cache, cfg, tally)) {
+        for ((a, p, nn) <- anchorTriplet(d, cb, labels, cache, tally)) {
           val t0 = System.nanoTime()
           epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
           tally.stepNs += System.nanoTime() - t0
@@ -166,7 +154,7 @@ object TripletTraining {
     }
     val stats = Stats(labels.thresholded, tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets,
       tally.stepNs, tally.noPos, tally.noNeg, tally.hardNegs)
-    Result(model, epoch, losses.toVector, triplets, stats)
+    Result(model, epoch, losses.toVector, stats)
   }
 
   /** Apply a trained model to DEs, producing their joint embeddings. */

@@ -14,7 +14,10 @@ import repro.text.{Bm25Index, Tokenizer}
   * keeps label generation cheap (§4.1). Low-quality syntactic matches (below
   * a small containment floor) are eliminated, as the paper prescribes.
   */
-final class LabelingFunctions(cols: Seq[ColumnProfile], val k: Int = 10) {
+final class LabelingFunctions(cols: Seq[ColumnProfile]) {
+
+  /** Columns returned per probe. */
+  val k = 10
 
   val textCols: Seq[ColumnProfile] = cols.filter(_.hasTag(Tags.TextSearch))
 

@@ -14,6 +14,14 @@ import scala.util.Random
   */
 object SnorkelLite {
 
+  /** EM iterations of `generative`, and its starting prior P(related). */
+  private val EmIters = 30
+  private val InitialPrior = 0.3
+
+  /** SGD passes over the data and learning rate of `trainDiscriminator`. */
+  private val DiscEpochs = 60
+  private val DiscLr = 0.5
+
   /** One labeled data point: a (doc, col) pair with its LF vote vector. */
   final case class LabeledPair(doc: String, col: String, votes: Seq[Int])
 
@@ -32,33 +40,26 @@ object SnorkelLite {
     * modelled with a sensitivity r = P(vote=1 | related) and a false-positive
     * rate q = P(vote=1 | unrelated) rather than one symmetric accuracy — a
     * symmetric model degenerates by explaining single-vote pairs as negatives
-    * with an "anti-correlated" LF. `mask(j) = false` switches LF j off
-    * (gold-label tuning, §4.1). EM runs a fixed `iters` iterations;
+    * with an "anti-correlated" LF. EM starts from a prior of `InitialPrior`
+    * and runs a fixed `EmIters` iterations;
     * `lastMaxChange` reports how far the last one still moved a posterior.
     */
-  def generative(
-      pairs: Seq[LabeledPair],
-      mask: Seq[Boolean] = Seq.empty,
-      iters: Int = 30,
-      initialPrior: Double = 0.3,
-  ): GenerativeResult = {
+  def generative(pairs: Seq[LabeledPair]): GenerativeResult = {
     if (pairs.isEmpty) return GenerativeResult(Seq.empty, Seq.empty, Seq.empty, Map.empty, 0.0)
     val nLf = pairs.head.votes.size
-    val m = if (mask.nonEmpty) mask else Seq.fill(nLf)(true)
-    val active = (0 until nLf).filter(m(_))
     val sens = Array.fill(nLf)(0.6)
     val fpr = Array.fill(nLf)(0.05)
-    var prior = initialPrior
+    var prior = InitialPrior
     var probs = Array.fill(pairs.size)(0.5)
     var lastMaxChange = 0.0
 
-    for (_ <- 0 until iters) {
+    for (_ <- 0 until EmIters) {
       // E-step: posterior P(y=1 | votes) under the two-coin likelihood.
       val before = probs
       probs = pairs.map { p =>
         var l1 = math.log(math.max(prior, 1e-9))
         var l0 = math.log(math.max(1 - prior, 1e-9))
-        for (j <- active) {
+        for (j <- 0 until nLf) {
           val v = p.votes(j)
           l1 += math.log(if (v == 1) sens(j) else 1 - sens(j))
           l0 += math.log(if (v == 1) fpr(j) else 1 - fpr(j))
@@ -85,29 +86,25 @@ object SnorkelLite {
   }
 
   /** Logistic-regression discriminator trained by SGD on probabilistic
-    * labels (standard cross-entropy, §4.1). Features are the pair's raw
-    * similarity scores; returns the weight vector (bias last).
+    * labels (standard cross-entropy, §4.1): `DiscEpochs` shuffled passes at
+    * rate `DiscLr`. Features are the pair's raw similarity scores; returns
+    * the weight vector (bias last).
     */
-  def trainDiscriminator(
-      data: Seq[(Array[Double], Double)],
-      epochs: Int = 60,
-      lr: Double = 0.5,
-      seed: Long = 17L,
-  ): Array[Double] = {
+  def trainDiscriminator(data: Seq[(Array[Double], Double)], seed: Long = 17L): Array[Double] = {
     require(data.nonEmpty, "no training data")
     val dim = data.head._1.length
     val w = new Array[Double](dim + 1)
     val rnd = new Random(seed)
     val idx = data.indices.toArray
-    for (_ <- 0 until epochs) {
+    for (_ <- 0 until DiscEpochs) {
       val order = rnd.shuffle(idx.toSeq)
       for (i <- order) {
         val (x, y) = data(i)
         val p = predict(w, x)
         val g = p - y
         var j = 0
-        while (j < dim) { w(j) -= lr * g * x(j); j += 1 }
-        w(dim) -= lr * g
+        while (j < dim) { w(j) -= DiscLr * g * x(j); j += 1 }
+        w(dim) -= DiscLr * g
       }
     }
     w

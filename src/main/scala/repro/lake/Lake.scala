@@ -54,20 +54,4 @@ final case class Lake(
     unionBenches: Seq[UnionBench] = Seq.empty,
 ) {
   def rawColumns: Seq[RawColumn] = tables.flatMap(_.columns)
-
-  def tablesIn(collections: String*): Seq[LakeTable] = {
-    val set = collections.toSet
-    tables.filter(t => set.contains(t.collection))
-  }
-
-  def docsIn(collection: String): Seq[RawDoc] = docs.filter(_.collection == collection)
-
-  /** Exact (lowercased, distinct) value set of a column — ground-truth-grade,
-    * used by generators and tests, never by the online discovery path.
-    */
-  def valueSet(ref: ColRef): Set[String] =
-    rawColumns
-      .find(c => c.table == ref.table && c.column == ref.column)
-      .map(_.normValues.toSet)
-      .getOrElse(Set.empty)
 }

@@ -95,7 +95,7 @@ object LakeGen {
     * distinct tables — the expensive exact algorithm the paper runs to build
     * the 2B/2C ground truths.
     */
-  def bruteForceJoinGt(cols: Seq[RawColumn], threshold: Double = BruteForceThreshold): Map[ColRef, Set[ColRef]] = {
+  def bruteForceJoinGt(cols: Seq[RawColumn]): Map[ColRef, Set[ColRef]] = {
     val joinable = cols
       .filter(c => c.dtype != "date")
       .map(c => (ColRef(c.table, c.column), c.normValues.toSet))
@@ -109,7 +109,7 @@ object LakeGen {
         val inter = small.count(large.contains)
         if (inter > 0) {
           val c = math.max(inter.toDouble / s1.size, inter.toDouble / s2.size)
-          if (c >= threshold) {
+          if (c >= BruteForceThreshold) {
             out.getOrElseUpdate(r1, mutable.Set.empty) += r2
             out.getOrElseUpdate(r2, mutable.Set.empty) += r1
           }

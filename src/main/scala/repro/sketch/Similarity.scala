@@ -22,46 +22,14 @@ object Similarity {
   def containment(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty) 0.0 else a.intersect(b).size.toDouble / a.size
 
-  /** Character q-grams of a string (padded), for name similarity. */
-  def qgrams(s: String, q: Int = 3): Set[String] = {
-    val p = ("#" * (q - 1)) + s.toLowerCase + ("#" * (q - 1))
-    if (p.length < q) Set(p) else p.sliding(q).toSet
-  }
+  /** Character 3-grams of a string (padded), for name similarity. */
+  def qgrams(s: String): Set[String] = ("##" + s.toLowerCase + "##").sliding(3).toSet
 
   /** Column/table name similarity: Jaccard over 3-grams of the lowercased
     * names — tolerant to underscores, prefixes and pluralisation.
     */
   def nameSimilarity(a: String, b: String): Double =
     jaccard(qgrams(a), qgrams(b))
-
-  /** Jaro string similarity — the second entity-matching metric of §6.1. */
-  def jaro(s1: String, s2: String): Double = {
-    if (s1.isEmpty && s2.isEmpty) return 1.0
-    if (s1.isEmpty || s2.isEmpty) return 0.0
-    val window = math.max(s1.length, s2.length) / 2 - 1
-    val m1 = new Array[Boolean](s1.length)
-    val m2 = new Array[Boolean](s2.length)
-    var matches = 0
-    for (i <- s1.indices) {
-      val lo = math.max(0, i - window); val hi = math.min(s2.length - 1, i + window)
-      var j = lo
-      var found = false
-      while (j <= hi && !found) {
-        if (!m2(j) && s1(i) == s2(j)) { m1(i) = true; m2(j) = true; matches += 1; found = true }
-        j += 1
-      }
-    }
-    if (matches == 0) return 0.0
-    var t = 0; var kk = 0
-    for (i <- s1.indices if m1(i)) {
-      while (!m2(kk)) kk += 1
-      if (s1(i) != s2(kk)) t += 1
-      kk += 1
-    }
-    val transpositions = t / 2.0
-    (matches.toDouble / s1.length + matches.toDouble / s2.length +
-      (matches - transpositions) / matches) / 3.0
-  }
 
   /** Numeric-range overlap similarity used for numeric columns by both Aurum
     * and CMDL (§3 "Other Profiled Information", §6.2 ChEBI): length of range

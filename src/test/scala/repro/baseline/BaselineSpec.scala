@@ -2,7 +2,6 @@ package repro.baseline
 
 import repro.{SparkSpec, TestFixtures}
 import repro.lake.ColRef
-import repro.profile.RawColumn
 import repro.sketch.Similarity
 
 class BaselineSpec extends SparkSpec {
@@ -100,41 +99,5 @@ class BaselineSpec extends SparkSpec {
     val hits = idx.topK(q, 5)
     assert(hits.size <= 5)
     assert(hits.forall(_._1.table != "drugs"))
-  }
-
-  // ---------------- Entity matching ----------------
-
-  test("entity extraction picks capitalised and digit-bearing tokens") {
-    val ents = EntityMatch.extractEntities("The drug Drugmed12 binds Enzprot4 strongly")
-    assert(ents.contains("drugmed12"))
-    assert(ents.contains("enzprot4"))
-    assert(!ents.contains("the"))
-  }
-
-  test("entity jaccard score is positive when the doc cites tuple values") {
-    val table = TestFixtures.pharma.tables.find(_.name == "drugs").get
-    val value = table.columns.find(_.column == "drug_name").get.values.head
-    val score = EntityMatch.scoreJaccard(s"A study of ${value.capitalize} efficacy", table)
-    assert(score > 0.0)
-  }
-
-  test("entity jaccard score is zero for unrelated text") {
-    val table = TestFixtures.pharma.tables.find(_.name == "drugs").get
-    assert(EntityMatch.scoreJaccard("Completely Unrelated Festival Programme", table) === 0.0)
-  }
-
-  test("entity jaro score rewards near-identical mentions") {
-    val table = TestFixtures.pharma.tables.find(_.name == "drugs").get
-    val value = table.columns.find(_.column == "drug_name").get.values.head
-    val near = EntityMatch.scoreJaro(s"Report on ${value.capitalize}", table)
-    val far = EntityMatch.scoreJaro("Report on Zzzqqqyyy999", table)
-    assert(near > far)
-  }
-
-  test("tuples align columns positionally") {
-    val t = repro.lake.LakeTable("c", "t", Vector(
-      RawColumn("c", "t", "a", "text", Seq("x1", "x2")),
-      RawColumn("c", "t", "b", "text", Seq("y1", "y2"))))
-    assert(EntityMatch.tuples(t) === Seq(Set("x1", "y1"), Set("x2", "y2")))
   }
 }

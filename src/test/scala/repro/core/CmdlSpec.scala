@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestFixtures}
+import repro.discover.UnionDiscovery
 import repro.ekg.Srql
 import repro.joint.{Mlp, TripletTraining}
 import repro.lake.{Lake, LakeTable}
@@ -41,17 +42,6 @@ class CmdlSpec extends SparkSpec {
 
   test("relatedness of unknown DEs is zero") {
     assert(labels.rel(cmdl)("nope", "nada.zip") === 0.0)
-  }
-
-  test("gold tuning can switch labeling functions off") {
-    val bench = TestFixtures.pharma.docBenches.head
-    val gold: Map[(String, String), Int] =
-      bench.docColumns.toSeq.sortBy(_._1).take(10).flatMap { case (d, cols) =>
-        cols.toSeq.map(c => (d, c.render) -> 1) :+ ((d, "drugs.drug_type") -> 0)
-      }.toMap
-    val tuned = cmdl.weakLabels(sampleFrac = 0.3, gold = Some(gold), seed = 6)
-    assert(tuned.lfMask.size === 4)
-    assert(tuned.lfMask.exists(identity))
   }
 
   test("joint training converges within the epoch budget") {
@@ -160,6 +150,35 @@ class CmdlSpec extends SparkSpec {
     val docs = cmdl.docProfiles.size
     assert(weakLabelsFailure(TestFixtures.pharma.copy(tables = Vector.empty))
       .endsWith(s"the lake has $docs documents and 0 text columns"))
+  }
+
+  /** The `Cmdl` of a lake with neither tables nor documents. */
+  private lazy val empty = new Cmdl(spark, tinyLake(Seq.empty))
+
+  test("new Cmdl on an empty lake succeeds, with no profiles and no text columns") {
+    assert(empty.colProfiles.isEmpty && empty.docProfiles.isEmpty && empty.lfs.textCols.isEmpty)
+  }
+
+  test("every discovery index of an empty lake answers empty") {
+    assert(empty.unionIndex.topK("drugs", 10, UnionDiscovery.ensembleScore).isEmpty)
+    assert(empty.bm25Docs.query(Seq("aspirin"), 10).isEmpty)
+    // profiles and documents of another lake as queries
+    for (p <- cmdl.colProfiles) assert(empty.syntacticIndex.topK(p, 10).isEmpty, p.ref)
+    for (d <- cmdl.docProfiles.take(20)) assert(empty.soloTables.top(d.contentEmb, 10).isEmpty, d.id)
+  }
+
+  test("srql on an empty lake answers empty and records no edge") {
+    val srql = new Srql(empty)
+    assert(srql.contentSearch("aspirin eases pain", "Text").items.isEmpty)
+    assert(srql.contentSearch("aspirin eases pain", "Table").items.isEmpty)
+    assert(srql.pkfk("drugs", topn = 10).items.isEmpty)
+    assert(srql.unionable("drugs", topn = 10).items.isEmpty)
+    assert(srql.ekg.size === 0)
+  }
+
+  test("srql cross-modal search on an empty lake fails, naming the unknown document") {
+    val e = intercept[IllegalArgumentException](new Srql(empty).crossModalSearch("d1", topn = 3))
+    assert(e.getMessage === "unknown document d1")
   }
 
   private val drugNames = Seq("aspirin", "ibuprofen", "naproxen", "codeine", "morphine", "insulin")

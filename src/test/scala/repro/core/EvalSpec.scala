@@ -5,22 +5,6 @@ import org.scalatest.funsuite.AnyFunSuite
 class EvalSpec extends AnyFunSuite {
   import Eval._
 
-  test("prAtK computes precision and recall at k") {
-    val pr = prAtK(Seq("a", "b", "c", "d"), Set("a", "c", "x"), 3)
-    assert(math.abs(pr.precision - 2.0 / 3) < 1e-9)
-    assert(math.abs(pr.recall - 2.0 / 3) < 1e-9)
-  }
-
-  test("prAtK with empty truth is zero") {
-    assert(prAtK(Seq("a"), Set.empty[String], 1) === Pr(0.0, 0.0))
-  }
-
-  test("prAtK with k beyond ranked size uses actual size for precision") {
-    val pr = prAtK(Seq("a"), Set("a", "b"), 5)
-    assert(pr.precision === 1.0)
-    assert(pr.recall === 0.5)
-  }
-
   test("rPrecision equals 1 for perfect ranking") {
     val queries = Map("q1" -> Set("a", "b"), "q2" -> Set("c"))
     val answers = Map("q1" -> Seq("a", "b", "z"), "q2" -> Seq("c", "y"))

@@ -28,13 +28,10 @@ class MlpSpec extends AnyFunSuite {
     assert(m.dist2(Array(0.0, 0.0), Array(3.0, 4.0)) === 25.0)
   }
 
-  test("triplet loss is zero when the margin is satisfied") {
-    val m = new Mlp(4, 4, 2, seed = 1)
-    val a = Array(1.0, 0.0, 0.0, 0.0)
-    // identical positive: d(a,p)=0; any negative with d>margin gives 0 loss
-    val far = Array(-5.0, 5.0, -5.0, 5.0)
-    val loss = m.tripletLoss(a, a, far, margin = 0.01)
-    assert(loss === 0.0 || loss < 0.2) // allow tiny margins on random init
+  /** The triplet loss of Eq. 1 under `m`'s current weights. */
+  private def loss(m: Mlp, a: Array[Double], p: Array[Double], n: Array[Double], margin: Double): Double = {
+    val (fa, fp, fn) = (m.embed(a), m.embed(p), m.embed(n))
+    math.max(0.0, margin + m.dist2(fa, fp) - m.dist2(fa, fn))
   }
 
   test("tripletStep reduces the loss of a violated triplet") {
@@ -43,10 +40,10 @@ class MlpSpec extends AnyFunSuite {
     val a = Array.fill(6)(rnd.nextDouble())
     val p = Array.fill(6)(rnd.nextDouble())
     val n = a.map(_ + 0.01) // negative nearly identical to anchor: violated
-    val before = m.tripletLoss(a, p, n, 0.2)
+    val before = loss(m, a, p, n, 0.2)
     var i = 0
     while (i < 60) { m.tripletStep(a, p, n, 0.2, 0.01); i += 1 }
-    val after = m.tripletLoss(a, p, n, 0.2)
+    val after = loss(m, a, p, n, 0.2)
     assert(after < before)
   }
 
@@ -56,8 +53,8 @@ class MlpSpec extends AnyFunSuite {
     val n = Array(-9.0, 9.0, -9.0, 9.0)
     // warm up until satisfied, then verify a no-op step
     var guard = 0
-    while (m.tripletLoss(a, a, n, 0.05) > 0 && guard < 200) { m.tripletStep(a, a, n, 0.05, 0.05); guard += 1 }
-    if (m.tripletLoss(a, a, n, 0.05) == 0.0) {
+    while (loss(m, a, a, n, 0.05) > 0 && guard < 200) { m.tripletStep(a, a, n, 0.05, 0.05); guard += 1 }
+    if (loss(m, a, a, n, 0.05) == 0.0) {
       val w = m.w1.map(_.clone())
       assert(m.tripletStep(a, a, n, 0.05, 0.05) === 0.0)
       assert(m.w1.zip(w).forall { case (r1, r2) => r1.sameElements(r2) })
@@ -192,27 +189,11 @@ class TripletTrainingSpec extends AnyFunSuite {
     assert(triplets.size === 1)
   }
 
-  test("disabled hard sampling emits the quadratic triplet set") {
-    val (docs, cols, rel) = world(4)
-    val m = new Mlp(seed = 1)
-    val t = tripletsFor(m, docs.head, cols, (a, b) => rel(a, b),
-      Config(hardStrategy = HardStrategy.None))
-    assert(t.size === 8 * 8)
-  }
-
   test("anchors without both positive and negative samples are ignored") {
     val (docs, cols, _) = world(5)
     val m = new Mlp(seed = 1)
     assert(tripletsFor(m, docs.head, cols, (_, _) => 0.9, Config()).isEmpty)
     assert(tripletsFor(m, docs.head, cols, (_, _) => 0.1, Config()).isEmpty)
-  }
-
-  test("hard sampling generates fewer total triplets than the quadratic mode") {
-    val (docs, cols, rel) = world(6)
-    val hard = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 5, batchFrac = 0.5, seed = 4))
-    val full = train(docs, cols, rowsOf(docs, cols, rel), Config(maxEpochs = 5, batchFrac = 0.5, seed = 4,
-      hardStrategy = HardStrategy.None))
-    assert(hard.totalTriplets < full.totalTriplets)
   }
 
   test("training requires both modalities") {
@@ -317,10 +298,9 @@ class TripletTrainingSpec extends AnyFunSuite {
 
   test("training matches the per-triplet reference loop bit for bit on the toy world") {
     val (docs, cols, rel) = world(11)
-    for (cfg <- Seq(Config(maxEpochs = 40, batchFrac = 0.5, seed = 2), Config(maxEpochs = 40, batchFrac = 0.25),
-        Config(maxEpochs = 6, batchFrac = 0.5, hardStrategy = HardStrategy.None, seed = 4))) {
+    for (cfg <- Seq(Config(maxEpochs = 40, batchFrac = 0.5, seed = 2), Config(maxEpochs = 40, batchFrac = 0.25))) {
       val res = train(docs, cols, rowsOf(docs, cols, rel), cfg)
-      assert(res.totalTriplets > 0)
+      assert(res.stats.steps > 0)
       ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
     }
   }
@@ -358,23 +338,18 @@ object TripletTrainingSpec {
 object ReferenceLoop {
   import TripletTraining._
 
-  final case class Out(model: Mlp, epochs: Int, lossHistory: Vector[Double], totalTriplets: Long)
+  final case class Out(model: Mlp, epochs: Int, lossHistory: Vector[Double], triplets: Long)
 
   private def tripletsFor(model: Mlp, anchor: De, batchCols: Seq[De], rel: (String, String) => Double,
       cfg: Config): Seq[(Array[Double], Array[Double], Array[Double])] = {
     val (pos, neg) = batchCols.partition(c => rel(anchor.id, c.id) >= cfg.posThreshold)
     if (pos.isEmpty || neg.isEmpty) return Seq.empty
-    cfg.hardStrategy match {
-      case HardStrategy.None =>
-        for (p <- pos; nn <- neg) yield (anchor.enc, p.enc, nn.enc)
-      case HardStrategy.Avg =>
-        val aEmb = model.embed(anchor.enc)
-        val negDists = neg.map(nn => (nn, model.dist2(aEmb, model.embed(nn.enc))))
-        val cutoff = negDists.map(_._2).sum / negDists.size
-        val hard = negDists.filter(_._2 <= cutoff).map(_._1)
-        if (hard.isEmpty) Seq.empty
-        else Seq((anchor.enc, mean(pos.map(_.enc)), mean(hard.map(_.enc))))
-    }
+    val aEmb = model.embed(anchor.enc)
+    val negDists = neg.map(nn => (nn, model.dist2(aEmb, model.embed(nn.enc))))
+    val cutoff = negDists.map(_._2).sum / negDists.size
+    val hard = negDists.filter(_._2 <= cutoff).map(_._1)
+    if (hard.isEmpty) Seq.empty
+    else Seq((anchor.enc, mean(pos.map(_.enc)), mean(hard.map(_.enc))))
   }
 
   def train(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double, cfg: Config): Out = {
@@ -427,7 +402,7 @@ object ReferenceLoop {
   def assertSame(ref: Out, res: Result): Unit = {
     import org.scalatest.Assertions._
     assert(res.epochs === ref.epochs)
-    assert(res.totalTriplets === ref.totalTriplets)
+    assert(res.stats.steps === ref.triplets)
     assert(res.lossHistory.map(java.lang.Double.doubleToRawLongBits) ===
       ref.lossHistory.map(java.lang.Double.doubleToRawLongBits))
     assert(res.model.w1.map(bits).toSeq === ref.model.w1.map(bits).toSeq)
@@ -454,7 +429,7 @@ class JointGoldenSpec extends SparkSpec {
     assert(groups(docs.size) === groups(cols.size), s"${docs.size} docs, ${cols.size} columns")
     val rows = labels.relRows(cmdl)
     val res = train(docs, cols, rows(_), cfg)
-    assert(res.totalTriplets > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
+    assert(res.stats.steps > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
     ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
   }
 
@@ -480,7 +455,7 @@ class JointGoldenSpec extends SparkSpec {
       .filter(_.columns.nonEmpty), docs = lake.docs.take(5))
     val cmdl = new repro.core.Cmdl(spark, numeric)
     assert(cmdl.lfs.textCols.isEmpty)
-    val labels = cmdl.WeakLabels(Seq.fill(4)(0.5), Seq.fill(4)(true), Array.fill(5)(0.0), Seq.empty, Seq.empty, 0.0)
+    val labels = cmdl.WeakLabels(Seq.fill(4)(0.5), Array.fill(5)(0.0), Seq.empty, Seq.empty, 0.0)
     val e = intercept[IllegalArgumentException](cmdl.trainJoint(labels))
     assert(e.getMessage.contains("5 documents") && e.getMessage.contains("0 text columns"), e.getMessage)
   }

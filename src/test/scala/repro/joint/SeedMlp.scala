@@ -141,12 +141,6 @@ final class SeedMlp(val inDim: Int = 200, val hiddenDim: Int = 150, val outDim: 
     s
   }
 
-  /** Triplet loss of Eq. 1 for (anchor, positive, negative) inputs. */
-  def tripletLoss(a: Array[Double], p: Array[Double], n: Array[Double], margin: Double): Double = {
-    val fa = embed(a); val fp = embed(p); val fn = embed(n)
-    math.max(0.0, margin + dist2(fa, fp) - dist2(fa, fn))
-  }
-
   /** One SGD step on a triplet; returns the (pre-update) loss. Gradients:
     * ∂L/∂f(a) = 2(f(n)−f(p)), ∂L/∂f(p) = −2(f(a)−f(p)), ∂L/∂f(n) = 2(f(a)−f(n)).
     */

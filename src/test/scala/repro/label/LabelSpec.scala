@@ -37,18 +37,6 @@ class SnorkelLiteSpec extends AnyFunSuite {
     assert(posMean > negMean + 0.2)
   }
 
-  test("masking an LF removes its influence") {
-    val (pairs, truth) = makePairs(300, 7)
-    val kept = pairs.zip(truth).filter(_._1.votes.sum > 0)
-    def accuracy(mask: Seq[Boolean]): Double = {
-      val res = generative(kept.map(_._1), mask)
-      kept.count { case (p, y) => (res.probs((p.doc, p.col)) >= 0.5) == (y == 1) }.toDouble / kept.size
-    }
-    val withBad = accuracy(Seq(true, true, true, true))
-    val withoutBad = accuracy(Seq(true, true, true, false))
-    assert(withoutBad >= withBad - 0.02)
-  }
-
   test("generative on empty input returns empty result") {
     val res = generative(Seq.empty)
     assert(res.accuracies.isEmpty && res.probs.isEmpty)
@@ -76,39 +64,6 @@ class SnorkelLiteSpec extends AnyFunSuite {
 
   test("discriminator rejects empty training data") {
     intercept[IllegalArgumentException] { trainDiscriminator(Seq.empty) }
-  }
-}
-
-class GoldTuningSpec extends AnyFunSuite {
-
-  private val goldVotes: Seq[(Seq[Int], Int)] = Seq(
-    (Seq(1, 1, 0, 0), 1), (Seq(1, 0, 0, 1), 1), (Seq(1, 1, 0, 0), 1),
-    (Seq(0, 0, 0, 1), 0), (Seq(0, 0, 1, 1), 0), (Seq(0, 0, 0, 1), 0))
-
-  test("accuracies measures agreement with gold") {
-    val acc = GoldTuning.accuracies(goldVotes)
-    assert(acc(0) === 1.0)           // always agrees
-    assert(acc(3) < 0.5)             // mostly disagrees
-  }
-
-  test("keepMask switches off LFs below half the best accuracy") {
-    val mask = GoldTuning.keepMask(goldVotes)
-    assert(mask(0))
-    assert(!mask(3))
-  }
-
-  test("keepMask always keeps the best LF") {
-    val mask = GoldTuning.keepMask(goldVotes)
-    assert(mask.exists(identity))
-  }
-
-  test("empty gold set yields empty mask") {
-    assert(GoldTuning.keepMask(Seq.empty).isEmpty)
-  }
-
-  test("threshold parameter is honoured") {
-    val strict = GoldTuning.keepMask(goldVotes, relativeThreshold = 1.0)
-    assert(strict.count(identity) <= GoldTuning.keepMask(goldVotes).count(identity))
   }
 }
 

@@ -20,14 +20,15 @@ class BenchStatsSpec extends AnyFunSuite {
   test("table1 text collections have no tables and doc-count DEs") {
     val pm = t1.find(_.collection == "PubMed").get
     assert(pm.numTables === 0)
-    assert(pm.numDEs === pharma.docsIn("PubMed").size)
+    assert(pm.numDEs === pharma.docs.count(_.collection == "PubMed"))
     assert(pm.format === "Text")
   }
 
   test("table1 tabular DEs are column counts") {
     val db = t1.find(_.collection == "DrugBank").get
-    assert(db.numDEs === pharma.tablesIn("DrugBank").map(_.columns.size).sum)
-    assert(db.numTables === pharma.tablesIn("DrugBank").size)
+    val drugbank = pharma.tables.filter(_.collection == "DrugBank")
+    assert(db.numDEs === drugbank.map(_.columns.size).sum)
+    assert(db.numTables === drugbank.size)
   }
 
   test("table1 numeric percentage is sane and highest for LS") {

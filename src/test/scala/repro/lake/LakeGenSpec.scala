@@ -10,7 +10,10 @@ class LakeGenSpec extends AnyFunSuite {
   private lazy val ukOpen = LakeGen.ukOpen(scale)
   private lazy val mlOpen = LakeGen.mlOpen(scale)
 
-  private def valueSet(lake: Lake, ref: ColRef): Set[String] = lake.valueSet(ref)
+  /** The exact (normalised, distinct) value set of column `ref`; empty if the lake has no such column. */
+  private def valueSet(lake: Lake, ref: ColRef): Set[String] =
+    lake.rawColumns.find(c => c.table == ref.table && c.column == ref.column).map(_.normValues.toSet)
+      .getOrElse(Set.empty)
 
   test("generators are deterministic in (scale, seed)") {
     val a = LakeGen.pharma(scale); val b = LakeGen.pharma(scale)
@@ -68,7 +71,7 @@ class LakeGenSpec extends AnyFunSuite {
   }
 
   test("chebi keys are numeric ranges") {
-    val chebi = pharma.tablesIn("ChEBI")
+    val chebi = pharma.tables.filter(_.collection == "ChEBI")
     assert(chebi.nonEmpty)
     val pk = chebi.find(_.name == "compounds").get.columns.find(_.column == "id").get
     assert(pk.dtype === "numeric")
@@ -120,7 +123,7 @@ class LakeGenSpec extends AnyFunSuite {
   }
 
   test("synthetic variants share value domains with their base tables") {
-    val syn = pharma.tablesIn("DrugBank-Synthetic")
+    val syn = pharma.tables.filter(_.collection == "DrugBank-Synthetic")
     val drugsVariants = syn.filter(_.name.startsWith("syn_drugs_"))
     assert(drugsVariants.size === 4)
     val base = valueSet(pharma, ColRef("drugs", "drug_id"))
@@ -177,7 +180,7 @@ class LakeGenSpec extends AnyFunSuite {
   }
 
   test("LS has a high numeric-attribute fraction") {
-    val ls = mlOpen.tablesIn("LS").flatMap(_.columns)
+    val ls = mlOpen.tables.filter(_.collection == "LS").flatMap(_.columns)
     assert(ls.count(_.dtype == "numeric").toDouble / ls.size > 0.5)
   }
 
@@ -190,6 +193,6 @@ class LakeGenSpec extends AnyFunSuite {
   test("valueSet lowercases and deduplicates") {
     val lake = Lake("t", Vector(LakeTable("c", "tab",
       Vector(repro.profile.RawColumn("c", "tab", "col", "text", Seq("A", "a", " b "))))), Vector.empty)
-    assert(lake.valueSet(ColRef("tab", "col")) === Set("a", "b"))
+    assert(valueSet(lake, ColRef("tab", "col")) === Set("a", "b"))
   }
 }

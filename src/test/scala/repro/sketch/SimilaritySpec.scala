@@ -51,8 +51,8 @@ class SimilaritySpec extends AnyFunSuite {
   }
 
   test("qgrams pad the string") {
-    assert(qgrams("ab", 3).contains("##a"))
-    assert(qgrams("ab", 3).contains("ab#"))
+    assert(qgrams("ab").contains("##a"))
+    assert(qgrams("ab").contains("ab#"))
   }
 
   test("qgrams are case-insensitive") {
@@ -69,36 +69,6 @@ class SimilaritySpec extends AnyFunSuite {
     assert(related > 0.5)
     assert(unrelated < 0.2)
     assert(related > unrelated)
-  }
-
-  test("jaro of identical strings is 1") {
-    assert(jaro("martha", "martha") === 1.0)
-  }
-
-  test("jaro classic example MARTHA/MARHTA") {
-    assert(math.abs(jaro("martha", "marhta") - 0.944444) < 1e-4)
-  }
-
-  test("jaro classic example DIXON/DICKSONX") {
-    assert(math.abs(jaro("dixon", "dicksonx") - 0.766667) < 1e-4)
-  }
-
-  test("jaro of completely different strings is 0") {
-    assert(jaro("abc", "xyz") === 0.0)
-  }
-
-  test("jaro with empty string") {
-    assert(jaro("", "") === 1.0)
-    assert(jaro("a", "") === 0.0)
-  }
-
-  test("jaro is symmetric") {
-    val rnd = new Random(5)
-    for (_ <- 1 to 100) {
-      val a = rnd.alphanumeric.take(rnd.nextInt(10) + 1).mkString
-      val b = rnd.alphanumeric.take(rnd.nextInt(10) + 1).mkString
-      assert(math.abs(jaro(a, b) - jaro(b, a)) < 1e-12)
-    }
   }
 
   test("numericOverlap of identical ranges is 1") {
