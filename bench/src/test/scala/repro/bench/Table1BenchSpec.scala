@@ -8,7 +8,7 @@ class Table1BenchSpec extends SparkSpec {
   private lazy val rows = TableBenches.table1(BenchFixtures.ctx.lakes)
 
   test("Table 1: lake overview (ours vs paper)") {
-    println("\n=== Table 1: Overview of the evaluation datasets ===")
+    println("\n" + TableBenches.header(1))
     println(TableBenches.render(rows))
     assert(rows.size === 12) // header + 11 collections
   }

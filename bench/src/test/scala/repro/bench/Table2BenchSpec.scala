@@ -8,7 +8,7 @@ class Table2BenchSpec extends SparkSpec {
   private lazy val rows = TableBenches.table2(BenchFixtures.ctx.lakes)
 
   test("Table 2: benchmark overview (ours vs paper)") {
-    println("\n=== Table 2: Overview of the evaluation benchmarks ===")
+    println("\n" + TableBenches.header(2))
     println(TableBenches.render(rows))
     assert(rows.size === 14) // header + 13 benchmark rows (2C and 2D split out)
   }

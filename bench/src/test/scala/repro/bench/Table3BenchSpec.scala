@@ -8,7 +8,7 @@ class Table3BenchSpec extends SparkSpec {
   private lazy val rows = TableBenches.table3(BenchFixtures.ctx)
 
   test("Table 3: syntactic join discovery (ours vs paper)") {
-    println("\n=== Table 3: Evaluation of syntactic join discovery ===")
+    println("\n" + TableBenches.header(3))
     println(TableBenches.renderTable3(rows))
     assert(rows.map(_.benchmark) === Seq("2A", "2B", "2C-SS", "2C-MS", "2C-LS"))
   }

@@ -8,7 +8,7 @@ class Table4BenchSpec extends SparkSpec {
   private lazy val rows = TableBenches.table4(BenchFixtures.ctx)
 
   test("Table 4: PK-FK discovery (ours vs paper)") {
-    println("\n=== Table 4: Evaluation of PK-FK join discovery (Benchmark 2D) ===")
+    println("\n" + TableBenches.header(4))
     println(TableBenches.renderTable4(rows))
     assert(rows.map(_.database).toSet === Set("DrugBank", "ChEMBL", "ChEBI"))
   }

@@ -11,7 +11,7 @@ class Table5BenchSpec extends SparkSpec {
     rows.find(r => r.benchmark == bench && r.measure == measure).get.rr.rr
 
   test("Table 5: comparing individual similarity metrics (ours vs paper)") {
-    println("\n=== Table 5: Comparing individual similarity metrics ===")
+    println("\n" + TableBenches.header(5))
     println(TableBenches.renderTable5(rows))
     assert(rows.size === 10)
   }

@@ -8,7 +8,7 @@ class Table6BenchSpec extends SparkSpec {
   private lazy val rows = TableBenches.table6(BenchFixtures.ctx)
 
   test("Table 6: labeling-function index throughput (ours vs paper)") {
-    println("\n=== Table 6: Query throughput for different labeling functions ===")
+    println("\n" + TableBenches.header(6))
     println(TableBenches.renderTable6(rows))
     assert(rows.size === 3)
   }

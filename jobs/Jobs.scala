@@ -4,11 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.bench.TableBenches
 
-/** spark-submit entrypoints, one per evaluation table.
-  *
-  * Usage: `spark-submit --class repro.jobs.Table3Job repro.jar [scale]`
-  * where `scale` (default 1.0) scales the synthetic lakes.
-  */
+/** Shared helpers of the spark-submit entrypoints below. */
 object Jobs {
   def session(): SparkSession =
     SparkSession.builder
@@ -16,9 +12,6 @@ object Jobs {
       .appName("cmdl-repro")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  def scaleOf(args: Array[String]): Double =
-    args.headOption.flatMap(_.toDoubleOption).getOrElse(1.0)
 
   /** The synthetic lake named `name` at `scale`. */
   def lake(name: String, scale: Double): repro.lake.Lake = name match {
@@ -53,68 +46,30 @@ object Jobs {
   }
 }
 
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session()
-    try {
-      val l = TableBenches.lakes(Jobs.scaleOf(args))
-      println("=== Table 1: Overview of the evaluation datasets ===")
-      println(TableBenches.render(TableBenches.table1(l)))
-    } finally spark.stop()
-  }
-}
+/** Prints one evaluation table, headed by `TableBenches.header`.
+  *
+  * Usage: `spark-submit --class repro.jobs.TableJob repro.jar <1-6> [scale]`
+  * where `scale` (default 1.0) scales the synthetic lakes.
+  */
+object TableJob {
+  import TableBenches._
 
-object Table2Job {
   def main(args: Array[String]): Unit = {
+    val n = args.headOption.flatMap(_.toIntOption).filter(Titles.contains)
+      .getOrElse(sys.error("usage: TableJob <1-6> [scale]"))
+    val scale = args.lift(1).flatMap(_.toDoubleOption).getOrElse(1.0)
     val spark = Jobs.session()
     try {
-      val l = TableBenches.lakes(Jobs.scaleOf(args))
-      println("=== Table 2: Overview of the evaluation benchmarks ===")
-      println(TableBenches.render(TableBenches.table2(l)))
-    } finally spark.stop()
-  }
-}
-
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session()
-    try {
-      val ctx = TableBenches.context(spark, Jobs.scaleOf(args))
-      println("=== Table 3: Evaluation of syntactic join discovery ===")
-      println(TableBenches.renderTable3(TableBenches.table3(ctx)))
-    } finally spark.stop()
-  }
-}
-
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session()
-    try {
-      val ctx = TableBenches.context(spark, Jobs.scaleOf(args))
-      println("=== Table 4: Evaluation of PK-FK join discovery (Benchmark 2D) ===")
-      println(TableBenches.renderTable4(TableBenches.table4(ctx)))
-    } finally spark.stop()
-  }
-}
-
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session()
-    try {
-      val ctx = TableBenches.context(spark, Jobs.scaleOf(args))
-      println("=== Table 5: Comparing individual similarity metrics ===")
-      println(TableBenches.renderTable5(TableBenches.table5(ctx)))
-    } finally spark.stop()
-  }
-}
-
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session()
-    try {
-      val ctx = TableBenches.context(spark, Jobs.scaleOf(args))
-      println("=== Table 6: Query throughput for different labeling functions ===")
-      println(TableBenches.renderTable6(TableBenches.table6(ctx)))
+      def ctx = context(spark, scale)
+      println(header(n))
+      println(n match {
+        case 1 => render(table1(lakes(scale)))
+        case 2 => render(table2(lakes(scale)))
+        case 3 => renderTable3(table3(ctx))
+        case 4 => renderTable4(table4(ctx))
+        case 5 => renderTable5(table5(ctx))
+        case _ => renderTable6(table6(ctx))
+      })
     } finally spark.stop()
   }
 }
@@ -127,8 +82,8 @@ object Table6Job {
   * digests.
   *
   * It trains twice in the same JVM. The first run pays for the JIT, so the
-  * timings are the second run's: the training wall time split into
-  * weak-label evaluations, forward passes for hard sampling (with the lanes
+  * timings are the second run's: the training wall time split into the
+  * batches' positive/negative split, forward passes for hard sampling (with the lanes
   * per batched call) and SGD steps. It also counts the anchors that gave no
   * triplet and the hard negatives pooled, and reports how far the weak
   * labels' last EM iteration still moved a posterior. If the two runs'
@@ -182,7 +137,7 @@ object TrainJointJob {
       println(f"final loss        ${joint.lossHistory.lastOption.getOrElse(0.0)}%.17g " +
         f"(bits ${joint.lossHistory.lastOption.map(java.lang.Double.doubleToRawLongBits).getOrElse(0L)}%016x)")
       println(f"train + apply     $wallS%.3f s  (second run; the first, $coldS%.3f s, warms the JIT)")
-      println(f"label split       ${s.relNs / 1e9}%.3f s  (${s.relCalls} labels thresholded, a row per anchored doc)")
+      println(f"label split       ${s.relNs / 1e9}%.3f s")
       println(f"forward passes    ${s.forwardNs / 1e9}%.3f s  (${s.forwardPasses} passes in ${s.forwardCalls} calls, " +
         f"${s.forwardPasses.toDouble / math.max(1L, s.forwardCalls)}%.1f lanes per call)")
       println(f"SGD               ${s.stepNs / 1e9}%.3f s  (${s.steps} steps)")

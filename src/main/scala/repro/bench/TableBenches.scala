@@ -6,6 +6,7 @@ import repro.baseline.{Aurum, D3L}
 import repro.core.{Cmdl, Eval}
 import repro.discover.{JoinDiscovery, UnionDiscovery}
 import repro.lake.{BenchStats, ColRef, Lake, LakeGen}
+import repro.profile.DocProfile
 
 /** Harnesses reproducing each table of the evaluation section (§6).
   *
@@ -31,6 +32,18 @@ object TableBenches {
     val l = lakes(scale)
     Ctx(l, new Cmdl(spark, l.pharma), new Cmdl(spark, l.ukOpen), new Cmdl(spark, l.mlOpen))
   }
+
+  /** Each table's title, as the bench suites and `TableJob` print it. */
+  val Titles: Map[Int, String] = Map(
+    1 -> "Overview of the evaluation datasets",
+    2 -> "Overview of the evaluation benchmarks",
+    3 -> "Evaluation of syntactic join discovery",
+    4 -> "Evaluation of PK-FK join discovery (Benchmark 2D)",
+    5 -> "Comparing individual similarity metrics",
+    6 -> "Query throughput for different labeling functions")
+
+  /** The line that heads table `n`'s rows in bench and job output. */
+  def header(n: Int): String = s"=== Table $n: ${Titles(n)} ==="
 
   def render(rows: Seq[Seq[String]]): String = {
     if (rows.isEmpty) return ""
@@ -191,13 +204,13 @@ object TableBenches {
       val bench = cmdl.lake.unionBenches.find(_.id == benchId).get
       val index = new UnionDiscovery.UnionIndex(cmdl.profilesIn(collection))
       val found: Map[String, Map[String, Set[String]]] =
-        UnionDiscovery.MeasureNames.map { m =>
+        UnionDiscovery.Measures.map { case (m, score) =>
           m -> bench.queries.map { case (q, truth) =>
-            q -> index.topK(q, truth.size, UnionDiscovery.scorer(m)).map(_._1).toSet
+            q -> index.topK(q, truth.size, score).map(_._1).toSet
           }
         }.toMap
       val rr = Eval.relativeRecall(bench.queries, found)
-      UnionDiscovery.MeasureNames.map(m => Table5Row(benchId, m, rr(m)))
+      UnionDiscovery.Measures.map { case (m, _) => Table5Row(benchId, m, rr(m)) }
     }
 
     rowsFor(cmdlUk, "3A", "Govt. data") ++ rowsFor(cmdlPharma, "3B", "DrugBank-Synthetic")
@@ -222,32 +235,36 @@ object TableBenches {
 
   final case class Table6Row(function: String, index: String, qps: Double)
 
-  /** Timed passes per probe in `table6`, and the probes in each pass. */
-  private val Table6Passes = 5
+  /** Timed rounds in `table6`, the probes in each round, and the probes one
+    * index runs before the next takes its turn.
+    */
+  private val Table6Rounds = 15
   private val Table6Queries = 200
+  private val Table6Turn = 10
 
   /** Qps of each labeling-function probe over `Table6Queries` UK-Open documents.
-    * After one warm-up pass each, the three probes take turns, one pass each,
-    * for `Table6Passes` rounds, so host noise hits them alike; a probe's Qps
-    * is that of its median pass.
+    * After one warm-up pass each, `Table6Rounds` rounds are timed. Within a
+    * round the three indexes take turns over the documents, `Table6Turn` at a
+    * time, so a slow stretch of the JVM or the host hits them alike; a
+    * probe's Qps is that of its median round.
     */
   def table6(ctx: Ctx): Seq[Table6Row] = {
     val cmdl = ctx.ukOpen
-    val docs = Iterator.continually(cmdl.docProfiles).flatten.take(Table6Queries).toSeq
+    val docs = Iterator.continually(cmdl.docProfiles).flatten.take(Table6Queries).toVector
     val k = 10
-    val probes: Seq[() => Unit] = Seq(
-      () => docs.foreach(d => cmdl.lfs.bm25Content.query(d.bag, k)),
-      () => docs.foreach(d => cmdl.lfs.lsh.query(d.sig, d.card, k)),
-      () => docs.foreach(d => cmdl.lfs.annoy.query(d.contentEmb, k)),
+    val probes: Seq[DocProfile => Unit] = Seq(
+      d => cmdl.lfs.bm25Content.query(d.bag, k),
+      d => cmdl.lfs.lsh.query(d.sig, d.card, k),
+      d => cmdl.lfs.annoy.query(d.contentEmb, k),
     )
-    probes.foreach(_()) // warm-up
-    val secs = Array.fill(probes.size, Table6Passes)(0.0)
-    for (pass <- 0 until Table6Passes; (probe, i) <- probes.zipWithIndex) {
+    probes.foreach(docs.foreach(_)) // warm-up
+    val secs = Array.fill(probes.size, Table6Rounds)(0.0)
+    for (round <- 0 until Table6Rounds; turn <- docs.grouped(Table6Turn); (probe, i) <- probes.zipWithIndex) {
       val t0 = System.nanoTime()
-      probe()
-      secs(i)(pass) = (System.nanoTime() - t0) / 1e9
+      turn.foreach(probe)
+      secs(i)(round) += (System.nanoTime() - t0) / 1e9
     }
-    val Seq(tContent, tContain, tSemantic) = secs.toSeq.map(s => s.sorted.apply(Table6Passes / 2))
+    val Seq(tContent, tContain, tSemantic) = secs.toSeq.map(s => s.sorted.apply(Table6Rounds / 2))
     Seq(
       Table6Row("Content search", "BM25 (elastic-search substitute)", Table6Queries / tContent),
       Table6Row("Containment", "LSHEnsemble", Table6Queries / tContain),

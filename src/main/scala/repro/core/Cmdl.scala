@@ -66,12 +66,25 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
   /** Discriminator features for a (doc, col) pair: the underlying similarity
     * scores of the four index families.
     */
-  def pairFeatures(d: DocProfile, c: ColumnProfile): Array[Double] = Array(
-    math.max(0.0, WordVectors.cosine(d.contentEmb, c.contentEmb)),
-    MinHash.estContainment(d.sig, d.card, c.sig, c.card),
-    math.min(1.0, lfs.bm25Content.score(d.bag, c.ref) / 10.0),
-    math.max(0.0, WordVectors.cosine(d.metaEmb, c.metaEmb)),
-  )
+  def pairFeatures(d: DocProfile, c: ColumnProfile): Array[Double] = {
+    val x = new Array[Double](4)
+    fillFeatures(x, d, c, WordVectors.cosine(d.contentEmb, c.contentEmb), lfs.bm25Content.score(d.bag, c.ref),
+      WordVectors.cosine(d.metaEmb, c.metaEmb))
+    x
+  }
+
+  /** Fills `x` with the discriminator features of (d, c), given the pair's
+    * content cosine, BM25 content score and metadata cosine: the content
+    * cosine floored at 0, doc→column MinHash containment, BM25 / 10 capped at
+    * 1 and the metadata cosine floored at 0.
+    */
+  private def fillFeatures(x: Array[Double], d: DocProfile, c: ColumnProfile, contentCos: Double,
+      bm25: Double, metaCos: Double): Unit = {
+    x(0) = math.max(0.0, contentCos)
+    x(1) = MinHash.estContainment(d.sig, d.card, c.sig, c.card)
+    x(2) = math.min(1.0, bm25 / 10.0)
+    x(3) = math.max(0.0, metaCos)
+  }
 
   final case class WeakLabels(
       lfAccuracies: Seq[Double],
@@ -87,13 +100,13 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
         case _                  => 0.0
       }
 
-    /** `rel(cmdl)` of every document and text column: `relRows(cmdl)(d)(i)`
-      * is the label of `cmdl.docProfiles(d)` and `cmdl.lfs.textCols(i)`. The
-      * rows are all computed here, split across the common `ForkJoinPool`;
-      * each row on its own, with both cosines by the blocked kernel (content
-      * over `lfs.annoy.vectors`, metadata over a matrix built here), BM25 from
-      * one `scoreAll`, containment and the discriminator as `pairFeatures`
-      * and `rel` compute them. Every value equals `rel`'s bit for bit.
+    /** `rel(cmdl)` of every document and text column, the label matrix joint
+      * training takes: `relRows(cmdl)(d)(i)` is the label of
+      * `cmdl.docProfiles(d)` and `cmdl.lfs.textCols(i)`. The rows are split
+      * across the common `ForkJoinPool`; each row computes both cosines by the
+      * blocked kernel (content over `lfs.annoy.vectors`, metadata over a
+      * matrix built here) and BM25 by one `scoreAll`, and turns them into
+      * features as `pairFeatures` does. Every value equals `rel`'s bit for bit.
       */
     def relRows(cmdl: Cmdl): Array[Array[Double]] = {
       val cols = cmdl.lfs.textCols.toIndexedSeq
@@ -111,11 +124,7 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
         val bm25Scores = bm25.scoreAll(d.bag)
         val x = new Array[Double](4)
         Array.tabulate(cols.size) { i =>
-          val c = cols(i)
-          x(0) = math.max(0.0, contentCos(i))
-          x(1) = MinHash.estContainment(d.sig, d.card, c.sig, c.card)
-          x(2) = math.min(1.0, bm25Scores(bm25At(i)) / 10.0)
-          x(3) = math.max(0.0, metaCos(i))
+          cmdl.fillFeatures(x, d, cols(i), contentCos(i), bm25Scores(bm25At(i)), metaCos(i))
           SnorkelLite.predict(discWeights, x)
         }
       }
@@ -143,20 +152,20 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
       d <- docs
       probe = lfs.probe(d)
       c <- cols
-    } yield SnorkelLite.LabeledPair(d.id, c.ref, lfs.votes(probe, c.ref))
+    } yield (d, c, lfs.votes(probe, c.ref))
 
     // the generative model only considers pairs voted 1 by at least one LF
-    val positivePairs = pairs.filter(_.votes.sum > 0)
+    val positivePairs = pairs.filter(_._3.sum > 0)
 
-    val gen = SnorkelLite.generative(positivePairs)
+    val gen = SnorkelLite.generative(positivePairs.map(_._3))
 
     // discriminator: probabilistic positives + the all-zero-vote pairs as
     // (near-)negatives so the classifier sees both classes
-    val negPairs = rnd.shuffle(pairs.filter(_.votes.sum == 0))
+    val negPairs = rnd.shuffle(pairs.filter(_._3.sum == 0))
       .take(math.max(positivePairs.size * 2, 50))
     val trainData =
-      positivePairs.map(p => (pairFeatures(docById(p.doc), colByRef(p.col)), gen.probs((p.doc, p.col)))) ++
-      negPairs.map(p => (pairFeatures(docById(p.doc), colByRef(p.col)), 0.02))
+      positivePairs.zip(gen.posteriors).map { case ((d, c, _), q) => (pairFeatures(d, c), q) } ++
+      negPairs.map { case (d, c, _) => (pairFeatures(d, c), 0.02) }
     val w = SnorkelLite.trainDiscriminator(trainData.toIndexedSeq, seed = seed)
 
     WeakLabels(gen.accuracies, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)
@@ -185,10 +194,9 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
   /** Trains the triplet model on the weak labels and applies it to all DEs. */
   def trainJoint(labels: WeakLabels, cfg: TripletTraining.Config = TripletTraining.Config()): Joint = {
     requireBothModalities("joint training")
-    val rows = labels.relRows(this)
     val docDes = docProfiles.map(d => TripletTraining.De(d.id, TripletTraining.encode(d.metaEmb, d.contentEmb)))
     val colDes = lfs.textCols.map(c => TripletTraining.De(c.ref, TripletTraining.encode(c.metaEmb, c.contentEmb)))
-    val result = TripletTraining.train(docDes, colDes, rows(_), cfg)
+    val result = TripletTraining.train(docDes, colDes, labels.relRows(this), cfg)
     Joint(result.model, result.epochs, result.lossHistory,
       docEmb = TripletTraining.applyModel(result.model, docDes),
       colEmb = TripletTraining.applyModel(result.model, colDes),

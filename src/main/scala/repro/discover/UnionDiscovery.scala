@@ -19,15 +19,11 @@ object UnionDiscovery {
 
   type ColumnScorer = (ColumnProfile, ColumnProfile) => Double
 
-  val MeasureNames: Seq[String] = Seq("name", "containment", "numeric", "semantic", "ensemble")
-
   def nameScore(a: ColumnProfile, b: ColumnProfile): Double =
     Similarity.nameSimilarity(a.column, b.column)
 
   def containmentScore(a: ColumnProfile, b: ColumnProfile): Double =
-    math.max(
-      MinHash.estContainment(a.sig, a.card, b.sig, b.card),
-      MinHash.estContainment(b.sig, b.card, a.sig, a.card))
+    MinHash.estMaxContainment(a.sig, a.card, b.sig, b.card)
 
   def numericScore(a: ColumnProfile, b: ColumnProfile): Double =
     if (a.isNumeric && b.isNumeric && !a.numMin.isNaN && !b.numMin.isNaN)
@@ -46,14 +42,10 @@ object UnionDiscovery {
     all.sum / all.size
   }
 
-  def scorer(measure: String): ColumnScorer = measure match {
-    case "name"        => nameScore
-    case "containment" => containmentScore
-    case "numeric"     => numericScore
-    case "semantic"    => semanticScore
-    case "ensemble"    => ensembleScore
-    case other         => throw new IllegalArgumentException(s"unknown measure $other")
-  }
+  /** Table 5's measures, in its row order. */
+  val Measures: Seq[(String, ColumnScorer)] = Seq(
+    ("name", nameScore), ("containment", containmentScore), ("numeric", numericScore),
+    ("semantic", semanticScore), ("ensemble", ensembleScore))
 
   /** Greedy maximal-weight bipartite matching between two column sets;
     * returns the matched pairs with their scores.

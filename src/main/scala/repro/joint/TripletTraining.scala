@@ -20,9 +20,8 @@ import scala.util.Random
   * Training is sequential per-triplet SGD: each triplet's step updates the
   * weights before the next anchor is sampled. Only the hard-sampling forward
   * passes run on several cores, inside `Mlp.embedAll`, and no step runs
-  * while they do. The weak labels come in as rows: `train` asks for a
-  * document's row of labels over every column once, when it first anchors
-  * that document, and thresholds the whole row then; a batch is then split
+  * while they do. The weak labels come in as one row per document over
+  * every column; `train` thresholds them all once, and splits each batch
   * into positives and negatives by (doc index, column index). A column's
   * embedding is reused until a step changes the weights (`Mlp.version`);
   * none of this changes a single bit of the result. The paper's PyTorch
@@ -45,16 +44,14 @@ object TripletTraining {
   )
 
   /** Where a training run spent its time: splitting batches into positives
-    * and negatives (`relNs`, which includes thresholding each document's label
-    * row on its first anchoring; `relCalls` counts the labels so thresholded,
-    * one row of every column per anchored document), forward passes for hard
-    * sampling (`forwardPasses` samples in `forwardCalls` batched calls), SGD
-    * steps; `steps` is also the number of triplets trained on, one step each.
+    * and negatives (`relNs`), forward passes for hard sampling
+    * (`forwardPasses` samples in `forwardCalls` batched calls), SGD steps;
+    * `steps` is also the number of triplets trained on, one step each.
     * Also why anchors gave no triplet, summed over epochs: no positive in
     * the batch (`noPosAnchors`), or positives but no (hard) negative
     * (`noNegAnchors`); and the hard negatives pooled into triplets.
     */
-  final case class Stats(relCalls: Long, relNs: Long, forwardPasses: Long, forwardCalls: Long,
+  final case class Stats(relNs: Long, forwardPasses: Long, forwardCalls: Long,
       forwardNs: Long, steps: Long, stepNs: Long, noPosAnchors: Long, noNegAnchors: Long, hardNegatives: Long)
 
   final case class Result(model: Mlp, epochs: Int, lossHistory: Vector[Double], stats: Stats)
@@ -80,26 +77,23 @@ object TripletTraining {
       cfg: Config,
   ): Seq[Triplet] = {
     val cols = batchCols.toIndexedSeq
-    val row = cols.map(c => rel(anchor.id, c.id)).toArray
-    val labels = new PosRows(IndexedSeq(anchor), cols, _ => row, cfg.posThreshold)
-    anchorTriplet(0, Array.range(0, cols.size), labels, new EmbedCache(model, cols), new Tally).toSeq
+    val isPos = cols.map(c => rel(anchor.id, c.id) >= cfg.posThreshold).toArray
+    anchorTriplet(anchor.enc, isPos, Array.range(0, cols.size), new EmbedCache(model, cols), new Tally).toSeq
   }
 
   /** The triplet generator shared by `tripletsFor` and `train`: the triplet,
-    * if any, of doc `d` against the columns `batch` (indices into the labels'
-    * columns).
+    * if any, of the document encoded `anchor` against the columns `batch`
+    * (indices into the cache's columns), of which `isPos` marks the positives.
     */
-  private def anchorTriplet(d: Int, batch: Array[Int], labels: PosRows, cache: EmbedCache,
-      tally: Tally): Option[Triplet] = {
+  private def anchorTriplet(anchor: Array[Double], isPos: Array[Boolean], batch: Array[Int],
+      cache: EmbedCache, tally: Tally): Option[Triplet] = {
     val t0 = System.nanoTime()
-    val isPos = labels.row(d)
     val (pos, neg) = batch.partition(c => isPos(c))
     tally.relNs += System.nanoTime() - t0
     // anchors without both are ignored
     if (pos.isEmpty) { tally.noPos += 1; return None }
     if (neg.isEmpty) { tally.noNeg += 1; return None }
-    val anchor = labels.docs(d).enc
-    def enc(c: Int) = labels.cols(c).enc
+    def enc(c: Int) = cache.cols(c).enc
     val t1 = System.nanoTime()
     val (aEmb, negEmb) = cache.embed(anchor, neg)
     tally.forwardNs += System.nanoTime() - t1
@@ -115,18 +109,23 @@ object TripletTraining {
 
   /** Full training loop: epochs of covering mini-batch partitions until the
     * epoch loss change falls below the tolerance. `rows(d)` holds doc `d`'s
-    * weak labels over `cols`, in order; it is asked for at most once per doc.
+    * weak labels over `cols`, in order; a label ≥ `posThreshold` marks a
+    * positive.
     */
-  def train(docs: Seq[De], cols: Seq[De], rows: Int => Array[Double],
+  def train(docs: Seq[De], cols: Seq[De], rows: Array[Array[Double]],
       cfg: Config = Config()): Result = {
     require(docs.nonEmpty && cols.nonEmpty, "need DEs of both modalities")
     require(cfg.batchFrac > 0 && cfg.batchFrac <= 1, s"batchFrac must be in (0, 1], got ${cfg.batchFrac}")
     require(cfg.lr > 0, s"lr must be positive, got ${cfg.lr}")
     require(cfg.margin >= 0, s"margin must be non-negative, got ${cfg.margin}")
     require(cfg.maxEpochs >= 0, s"maxEpochs must be non-negative, got ${cfg.maxEpochs}")
+    require(rows.length == docs.size, s"${rows.length} label rows for ${docs.size} documents")
+    for ((r, d) <- rows.iterator.zip(docs.iterator))
+      require(r.length == cols.size, s"label row ${d.id} has ${r.length} entries for ${cols.size} columns")
+    val isPos = rows.map(_.map(_ >= cfg.posThreshold))
     val model = new Mlp(seed = cfg.seed)
-    val labels = new PosRows(docs.toIndexedSeq, cols.toIndexedSeq, rows, cfg.posThreshold)
-    val cache = new EmbedCache(model, labels.cols)
+    val docEnc = docs.map(_.enc).toIndexedSeq
+    val cache = new EmbedCache(model, cols.toIndexedSeq)
     val tally = new Tally
     val nBatches = math.max(1, math.ceil(1.0 / cfg.batchFrac).toInt)
     val rnd = new Random(cfg.seed)
@@ -138,7 +137,7 @@ object TripletTraining {
       var epochLoss = 0.0
       var count = 0
       for ((db, cb) <- miniBatches(docs.size, cols.size, nBatches, rnd); d <- db) {
-        for ((a, p, nn) <- anchorTriplet(d, cb, labels, cache, tally)) {
+        for ((a, p, nn) <- anchorTriplet(docEnc(d), isPos(d), cb, cache, tally)) {
           val t0 = System.nanoTime()
           epochLoss += model.tripletStep(a, p, nn, cfg.margin, cfg.lr)
           tally.stepNs += System.nanoTime() - t0
@@ -152,7 +151,7 @@ object TripletTraining {
         converged = true
       epoch += 1
     }
-    val stats = Stats(labels.thresholded, tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets,
+    val stats = Stats(tally.relNs, cache.passes, cache.calls, tally.forwardNs, triplets,
       tally.stepNs, tally.noPos, tally.noNeg, tally.hardNegs)
     Result(model, epoch, losses.toVector, stats)
   }
@@ -182,32 +181,8 @@ object TripletTraining {
     pairs.map { case (d, c) => (d.toArray, c.toArray) }
   }
 
-  /** The weak-label test label ≥ threshold for one training run, by (doc,
-    * column) index: doc `d`'s row is asked of `rows` and thresholded whole
-    * when `d` is first anchored, and kept.
-    */
-  private final class PosRows(val docs: IndexedSeq[De], val cols: IndexedSeq[De],
-      rows: Int => Array[Double], threshold: Double) {
-    private val pos = new Array[Array[Boolean]](docs.size)
-    /** Labels thresholded so far: `cols.size` per anchored doc. */
-    var thresholded = 0L
-
-    def row(d: Int): Array[Boolean] = {
-      if (pos(d) == null) {
-        val r = rows(d)
-        require(r.length == cols.size, s"label row ${docs(d).id} has ${r.length} entries for ${cols.size} columns")
-        val p = new Array[Boolean](r.length)
-        var c = 0
-        while (c < r.length) { p(c) = r(c) >= threshold; c += 1 }
-        pos(d) = p
-        thresholded += r.length
-      }
-      pos(d)
-    }
-  }
-
   /** Column embeddings stamped with the model version they were computed at. */
-  private[joint] final class EmbedCache(val model: Mlp, cols: IndexedSeq[De]) {
+  private[joint] final class EmbedCache(val model: Mlp, val cols: IndexedSeq[De]) {
     private val emb = new Array[Array[Double]](cols.size)
     private val at = Array.fill(cols.size)(-1L)
     /** Forward passes run so far, and the `embedAll` calls that ran them. */

@@ -22,14 +22,9 @@ object SnorkelLite {
   private val DiscEpochs = 60
   private val DiscLr = 0.5
 
-  /** One labeled data point: a (doc, col) pair with its LF vote vector. */
-  final case class LabeledPair(doc: String, col: String, votes: Seq[Int])
-
   final case class GenerativeResult(
       accuracies: Seq[Double], // balanced accuracy (sensitivity + specificity)/2
-      sensitivities: Seq[Double],
-      falsePositiveRates: Seq[Double],
-      probs: Map[(String, String), Double],
+      posteriors: Array[Double], // P(related | votes) of each vote vector, in input order
       lastMaxChange: Double, // largest |change| of one posterior in the last EM iteration
   )
 
@@ -43,24 +38,26 @@ object SnorkelLite {
     * with an "anti-correlated" LF. EM starts from a prior of `InitialPrior`
     * and runs a fixed `EmIters` iterations;
     * `lastMaxChange` reports how far the last one still moved a posterior.
+    * `votes(i)` is pair `i`'s vote vector, one 0/1 vote per LF; the
+    * posteriors come back in the same order.
     */
-  def generative(pairs: Seq[LabeledPair]): GenerativeResult = {
-    if (pairs.isEmpty) return GenerativeResult(Seq.empty, Seq.empty, Seq.empty, Map.empty, 0.0)
-    val nLf = pairs.head.votes.size
+  def generative(votes: Seq[Seq[Int]]): GenerativeResult = {
+    if (votes.isEmpty) return GenerativeResult(Seq.empty, Array.empty, 0.0)
+    val nLf = votes.head.size
     val sens = Array.fill(nLf)(0.6)
     val fpr = Array.fill(nLf)(0.05)
     var prior = InitialPrior
-    var probs = Array.fill(pairs.size)(0.5)
+    var probs = Array.fill(votes.size)(0.5)
     var lastMaxChange = 0.0
 
     for (_ <- 0 until EmIters) {
       // E-step: posterior P(y=1 | votes) under the two-coin likelihood.
       val before = probs
-      probs = pairs.map { p =>
+      probs = votes.map { p =>
         var l1 = math.log(math.max(prior, 1e-9))
         var l0 = math.log(math.max(1 - prior, 1e-9))
         for (j <- 0 until nLf) {
-          val v = p.votes(j)
+          val v = p(j)
           l1 += math.log(if (v == 1) sens(j) else 1 - sens(j))
           l0 += math.log(if (v == 1) fpr(j) else 1 - fpr(j))
         }
@@ -73,16 +70,15 @@ object SnorkelLite {
       val posMass = probs.sum
       val negMass = probs.length - posMass
       for (j <- 0 until nLf) {
-        val posVotes = pairs.zip(probs).collect { case (p, q) if p.votes(j) == 1 => q }.sum
-        val negVotes = pairs.zip(probs).collect { case (p, q) if p.votes(j) == 1 => 1 - q }.sum
+        val posVotes = votes.zip(probs).collect { case (p, q) if p(j) == 1 => q }.sum
+        val negVotes = votes.zip(probs).collect { case (p, q) if p(j) == 1 => 1 - q }.sum
         sens(j) = clamp(posVotes / math.max(posMass, 1e-9), 0.1, 0.95)
         fpr(j) = clamp(negVotes / math.max(negMass, 1e-9), 0.01, 0.5)
       }
       prior = clamp(posMass / probs.length, 0.02, 0.98)
     }
     val balanced = (0 until nLf).map(j => (sens(j) + (1 - fpr(j))) / 2.0)
-    GenerativeResult(balanced, sens.toSeq, fpr.toSeq,
-      pairs.zip(probs).map { case (p, q) => (p.doc, p.col) -> q }.toMap, lastMaxChange)
+    GenerativeResult(balanced, probs, lastMaxChange)
   }
 
   /** Logistic-regression discriminator trained by SGD on probabilistic

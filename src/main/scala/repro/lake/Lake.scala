@@ -18,11 +18,9 @@ final case class LakeTable(collection: String, name: String, columns: Vector[Raw
   * of related tables; `docColumns` keeps the column-level links the table
   * answers aggregate from (and from which mQCR is computed).
   */
-final case class DocBench(
-    id: String,
-    queries: Map[String, Set[String]],
-    docColumns: Map[String, Set[ColRef]],
-)
+final case class DocBench(id: String, docColumns: Map[String, Set[ColRef]]) {
+  val queries: Map[String, Set[String]] = docColumns.view.mapValues(_.map(_.table)).toMap
+}
 
 /** Syntactic-join benchmark (2A/2B/2C): per query column, the ground-truth
   * joinable columns in other tables.

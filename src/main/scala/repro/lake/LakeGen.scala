@@ -101,7 +101,7 @@ object LakeGen {
       .map(c => (ColRef(c.table, c.column), c.normValues.toSet))
       .filter(_._2.nonEmpty)
       .toIndexedSeq
-    val out = mutable.Map.empty[ColRef, mutable.Set[ColRef]]
+    val pairs = mutable.ArrayBuffer.empty[Seq[ColRef]]
     for (i <- joinable.indices; j <- i + 1 until joinable.size) {
       val (r1, s1) = joinable(i); val (r2, s2) = joinable(j)
       if (r1.table != r2.table) {
@@ -109,15 +109,21 @@ object LakeGen {
         val inter = small.count(large.contains)
         if (inter > 0) {
           val c = math.max(inter.toDouble / s1.size, inter.toDouble / s2.size)
-          if (c >= BruteForceThreshold) {
-            out.getOrElseUpdate(r1, mutable.Set.empty) += r2
-            out.getOrElseUpdate(r2, mutable.Set.empty) += r1
-          }
+          if (c >= BruteForceThreshold) pairs += Seq(r1, r2)
         }
       }
     }
-    out.view.mapValues(_.toSet).toMap
+    symmetric(pairs)
   }
+
+  /** Each member of each group mapped to the other members of every group it
+    * is in: the symmetric ground truths of 2A–2C (pairs) and 3A/3B (families).
+    */
+  private def symmetric[A](groups: Iterable[Iterable[A]]): Map[A, Set[A]] =
+    groups.foldLeft(Map.empty[A, Set[A]]) { (m, g) =>
+      val members = g.toSet
+      g.foldLeft(m)((m, a) => m.updated(a, m.getOrElse(a, Set.empty[A]) ++ (members - a)))
+    }
 
   // ------------------------------------------------------------------
   // Pharma lake: DrugBank + ChEMBL + ChEBI + PubMed + DrugBank-Synthetic
@@ -525,29 +531,23 @@ object LakeGen {
       tables += LakeTable(S, tname, cols)
       unionFamilies.getOrElseUpdate(base.name, mutable.ArrayBuffer.empty) += tname
     }
-    val union3B: Map[String, Set[String]] = unionFamilies.values.flatMap { fam =>
-      fam.map(t => t -> (fam.toSet - t))
-    }.toMap
 
     // ---------------- benchmarks ----------------
     val bench2B = JoinBench("2B", "DrugBank",
       bruteForceJoinGt(tables.filter(_.collection == C).flatMap(_.columns).toSeq))
-    val bench1B = DocBench("1B",
-      queries = docColGt1B.view.mapValues(_.map(_.table)).toMap,
-      docColumns = docColGt1B.toMap)
 
     Lake(
       name = "Pharma",
       tables = tables.toVector,
       docs = pubmedDocs.toVector,
-      docBenches = Seq(bench1B),
+      docBenches = Seq(DocBench("1B", docColGt1B.toMap)),
       joinBenches = Seq(bench2B),
       pkfkBenches = Seq(
         PkfkBench("2D-DrugBank", C, drugBankPkfk),
         PkfkBench("2D-ChEMBL", H, chemblPkfk),
         PkfkBench("2D-ChEBI", B, chebiPkfk),
       ),
-      unionBenches = Seq(UnionBench("3B", S, union3B)),
+      unionBenches = Seq(UnionBench("3B", S, symmetric(unionFamilies.values))),
     )
   }
 
@@ -641,19 +641,6 @@ object LakeGen {
       planIdx += 1
     }
 
-    val queries2A: Map[ColRef, Set[ColRef]] = {
-      val m = mutable.Map.empty[ColRef, mutable.Set[ColRef]]
-      for ((a, bb) <- join2A) {
-        m.getOrElseUpdate(a, mutable.Set.empty) += bb
-        m.getOrElseUpdate(bb, mutable.Set.empty) += a
-      }
-      m.view.mapValues(_.toSet).toMap
-    }
-
-    val union3A: Map[String, Set[String]] = unionGroups.flatMap { g =>
-      g.map(t => t -> (g.toSet - t))
-    }.toMap
-
     // ---------------- synthetic text (1A) ----------------
     val T = "Synthetic text"
     val nDocs = n(380, scale)
@@ -684,11 +671,9 @@ object LakeGen {
       name = "UK-Open",
       tables = tables.toVector,
       docs = docs.toVector,
-      docBenches = Seq(DocBench("1A",
-        queries = docColGt.view.mapValues(_.map(_.table)).toMap,
-        docColumns = docColGt.toMap)),
-      joinBenches = Seq(JoinBench("2A", "Govt. data", queries2A)),
-      unionBenches = Seq(UnionBench("3A", "Govt. data", union3A)),
+      docBenches = Seq(DocBench("1A", docColGt.toMap)),
+      joinBenches = Seq(JoinBench("2A", "Govt. data", symmetric(join2A.map { case (a, b) => Seq(a, b) }))),
+      unionBenches = Seq(UnionBench("3A", "Govt. data", symmetric(unionGroups))),
     )
   }
 
@@ -809,9 +794,7 @@ object LakeGen {
       name = "ML-Open",
       tables = tables.toVector,
       docs = docs.toVector,
-      docBenches = Seq(DocBench("1C",
-        queries = docColGt.view.mapValues(_.map(_.table)).toMap,
-        docColumns = docColGt.toMap)),
+      docBenches = Seq(DocBench("1C", docColGt.toMap)),
       joinBenches = Seq(joinBenchFor("SS"), joinBenchFor("MS"), joinBenchFor("LS")),
     )
   }

@@ -93,4 +93,19 @@ object MinHash {
     val inter = j / (1.0 + j) * (cardA + cardB)
     math.min(1.0, inter / cardA)
   }
+
+  /** The larger of the two directions' `estContainment`, from one Jaccard
+    * estimate: the shared |A∩B| estimate over the smaller positive
+    * cardinality (cardinalities are set sizes, so never negative). The
+    * estimate and |A| + |B| are the same in both directions, and dividing by
+    * the smaller divisor never gives the smaller quotient, so the result is
+    * the two-call `max` bit for bit.
+    */
+  def estMaxContainment(sigA: Array[Long], cardA: Long, sigB: Array[Long], cardB: Long): Double = {
+    val minCard = if (cardA <= 0) cardB else if (cardB <= 0) cardA else math.min(cardA, cardB)
+    if (minCard <= 0) return 0.0
+    val j = estJaccard(sigA, sigB)
+    val inter = j / (1.0 + j) * (cardA + cardB)
+    math.min(1.0, inter / minCard)
+  }
 }

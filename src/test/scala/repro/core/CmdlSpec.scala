@@ -227,7 +227,7 @@ class CmdlSpec extends SparkSpec {
     val c = new Cmdl(spark, tinyLake(Seq(("c", "t", "name"), ("c", "u", "name")),
       Seq(RawDoc("PubMed", "d1", "aspirin trial", "aspirin eases pain"))))
     val j = c.Joint(new Mlp(outDim = 8), 0, Vector.empty, Map("d1" -> Array.fill(8)(1f)), Map.empty,
-      TripletTraining.Stats(0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+      TripletTraining.Stats(0, 0, 0, 0, 0, 0, 0, 0, 0))
     val r = new Srql(c, Some(j)).crossModalSearch("d1", topn = 3)
     assert(r.items === Seq("t" -> 0.0, "u" -> 0.0))
   }

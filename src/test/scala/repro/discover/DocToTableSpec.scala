@@ -71,7 +71,7 @@ class DocToTableSpec extends SparkSpec {
       val j = c.Joint(new Mlp(outDim = 100), 0, Vector.empty, c.docProfiles.map(d => d.id -> d.metaEmb).toMap,
         cols.filter(_.ref != missingCol).map(col =>
           col.ref -> (if (col.ref == zeroCol) new Array[Float](100) else col.metaEmb)).toMap,
-        TripletTraining.Stats(0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+        TripletTraining.Stats(0, 0, 0, 0, 0, 0, 0, 0, 0))
       val solo = new Srql(c)
       val joint = new Srql(c, Some(j))
       for (d <- c.docProfiles; k <- Seq(0, 1, 10, ntables + 5)) {

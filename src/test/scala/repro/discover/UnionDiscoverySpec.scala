@@ -41,8 +41,8 @@ class UnionDiscoverySpec extends SparkSpec {
 
   test("measure scores are within [0,1]") {
     for (a <- syn.take(5); b <- syn.take(5)) {
-      for (m <- MeasureNames) {
-        val s = scorer(m)(a, b)
+      for ((m, score) <- Measures) {
+        val s = score(a, b)
         assert(s >= 0.0 && s <= 1.0 + 1e-9, s"$m($a.ref, $b.ref) = $s")
       }
     }
@@ -90,10 +90,6 @@ class UnionDiscoverySpec extends SparkSpec {
   test("topK excludes the query table itself") {
     val q = gt.head._1
     assert(!index.topK(q, 10, ensembleScore).map(_._1).contains(q))
-  }
-
-  test("unknown measure name is rejected") {
-    intercept[IllegalArgumentException] { scorer("nope") }
   }
 
   test("union index over uk-open groups ranks same-prototype variants first") {

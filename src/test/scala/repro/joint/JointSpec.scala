@@ -198,7 +198,7 @@ class TripletTrainingSpec extends AnyFunSuite {
 
   test("training requires both modalities") {
     intercept[IllegalArgumentException] {
-      train(Seq.empty, Seq(De("c", Array(1.0))), _ => Array(0.5))
+      train(Seq.empty, Seq(De("c", Array(1.0))), Array.empty[Array[Double]])
     }
   }
 
@@ -227,14 +227,14 @@ class TripletTrainingSpec extends AnyFunSuite {
     val docs = (1 to 14).map(i => De(s"d$i", Array.fill(200)(i * 0.01)))
     val cols = (1 to 40).map(i => De(s"c$i", Array.fill(200)(-i * 0.01)))
     val cfg = Config(maxEpochs = 1)
-    val none = train(docs, cols, _ => Array.fill(cols.size)(0.1), cfg)
+    val none = train(docs, cols, Array.fill(docs.size, cols.size)(0.1), cfg)
     assert(none.stats.noPosAnchors === docs.size)
     // column c alone positive for every doc: exactly the docs whose batch holds c find a positive
     val metBy = miniBatches(docs.size, cols.size, math.ceil(1.0 / cfg.batchFrac).toInt, new Random(cfg.seed))
       .flatMap { case (d, c) => c.map(_ -> d.length) }.toMap
     for (c <- new Random(9).shuffle(cols.indices.toVector).take(6)) {
       val row = Array.tabulate(cols.size)(i => if (i == c) 0.9 else 0.1)
-      val one = train(docs, cols, _ => row, cfg)
+      val one = train(docs, cols, Array.fill(docs.size)(row), cfg)
       assert(docs.size - one.stats.noPosAnchors === metBy(c), s"column $c")
     }
   }
@@ -255,23 +255,17 @@ class TripletTrainingSpec extends AnyFunSuite {
     }
   }
 
-  test("each document's label row is asked for at most once") {
-    val (docs, cols, rel) = world(9)
-    val asked = mutable.Map.empty[Int, Int].withDefaultValue(0)
-    val rows = rowsOf(docs, cols, rel)
-    val res = train(docs, cols, d => { asked(d) += 1; rows(d) },
-      Config(maxEpochs = 30, batchFrac = 0.5, convergenceTol = 0.0))
-    assert(res.epochs === 30)
-    assert(asked.keySet === docs.indices.toSet) // every doc was anchored
-    assert(asked.values.forall(_ == 1), asked.filter(_._2 > 1))
-    // relCalls counts the labels thresholded: one whole row per anchored doc
-    assert(res.stats.relCalls === docs.size.toLong * cols.size)
-  }
-
   test("a label row of the wrong length fails, naming the document") {
-    val (docs, cols, _) = world(12)
-    val e = intercept[IllegalArgumentException](train(docs, cols, _ => Array(0.9), Config()))
-    assert(e.getMessage.contains(s"has 1 entries for ${cols.size} columns"), e.getMessage)
+    val (docs, cols, rel) = world(12)
+    val rows = rowsOf(docs, cols, rel)
+    rows(3) = Array(0.9)
+    // up front, before any epoch runs
+    for (epochs <- Seq(0, 5)) {
+      val e = intercept[IllegalArgumentException](train(docs, cols, rows, Config(maxEpochs = epochs)))
+      assert(e.getMessage === s"requirement failed: label row ${docs(3).id} has 1 entries for ${cols.size} columns")
+    }
+    val e = intercept[IllegalArgumentException](train(docs, cols, rows.tail, Config()))
+    assert(e.getMessage.contains(s"${docs.size - 1} label rows for ${docs.size} documents"), e.getMessage)
   }
 
   test("cached embeddings are recomputed after a weight-changing step and reused after a zero-loss step") {
@@ -325,8 +319,8 @@ object TripletTrainingSpec {
   }
 
   /** `train`'s label rows from a pairwise `rel`: row `d` is doc `d`'s `rel` to every column, in order. */
-  def rowsOf(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double): Int => Array[Double] =
-    d => cols.map(c => rel(docs(d).id, c.id)).toArray
+  def rowsOf(docs: Seq[De], cols: Seq[De], rel: (String, String) => Double): Array[Array[Double]] =
+    docs.map(d => cols.map(c => rel(d.id, c.id)).toArray).toArray
 }
 
 /** The per-triplet training loop as first written: every anchor partitions
@@ -427,8 +421,7 @@ class JointGoldenSpec extends SparkSpec {
     // the reference loop drops batches unless both sides split into the same count
     def groups(n: Int) = math.ceil(n / math.ceil(n / 5.0)).toInt
     assert(groups(docs.size) === groups(cols.size), s"${docs.size} docs, ${cols.size} columns")
-    val rows = labels.relRows(cmdl)
-    val res = train(docs, cols, rows(_), cfg)
+    val res = train(docs, cols, labels.relRows(cmdl), cfg)
     assert(res.stats.steps > 0, s"${docs.size} docs x ${cols.size} columns gave no triplets")
     ReferenceLoop.assertSame(ReferenceLoop.train(docs, cols, rel, cfg), res)
   }

@@ -9,37 +9,37 @@ class SnorkelLiteSpec extends AnyFunSuite {
   import SnorkelLite._
 
   // Synthetic vote matrix: 3 good LFs (90% accurate), 1 bad LF (30%).
-  private def makePairs(n: Int, seed: Long): (Seq[LabeledPair], Seq[Int]) = {
+  private def makePairs(n: Int, seed: Long): (Seq[Seq[Int]], Seq[Int]) = {
     val rnd = new Random(seed)
     val truth = Seq.fill(n)(if (rnd.nextDouble() < 0.4) 1 else 0)
-    val pairs = truth.zipWithIndex.map { case (y, i) =>
+    val votes = truth.map { y =>
       def vote(acc: Double): Int = if (rnd.nextDouble() < acc) y else 1 - y
-      LabeledPair(s"d$i", s"c$i", Seq(vote(0.9), vote(0.9), vote(0.85), vote(0.3)))
+      Seq(vote(0.9), vote(0.9), vote(0.85), vote(0.3))
     }
-    (pairs, truth)
+    (votes, truth)
   }
 
   test("generative EM recovers which LFs are accurate") {
     val (pairs, _) = makePairs(400, 3)
-    val res = generative(pairs.filter(_.votes.sum > 0))
+    val res = generative(pairs.filter(_.sum > 0))
     assert(res.accuracies(0) > res.accuracies(3))
     assert(res.accuracies(1) > res.accuracies(3))
   }
 
   test("generative probabilistic labels correlate with ground truth") {
     val (pairs, truth) = makePairs(400, 5)
-    val kept = pairs.zip(truth).filter(_._1.votes.sum > 0)
+    val kept = pairs.zip(truth).filter(_._1.sum > 0)
     val res = generative(kept.map(_._1))
-    val posMean = kept.filter(_._2 == 1).map(p => res.probs((p._1.doc, p._1.col))).sum /
-      math.max(1, kept.count(_._2 == 1))
-    val negMean = kept.filter(_._2 == 0).map(p => res.probs((p._1.doc, p._1.col))).sum /
-      math.max(1, kept.count(_._2 == 0))
+    assert(res.posteriors.length === kept.size)
+    val scored = kept.map(_._2).zip(res.posteriors)
+    val posMean = scored.filter(_._1 == 1).map(_._2).sum / math.max(1, kept.count(_._2 == 1))
+    val negMean = scored.filter(_._1 == 0).map(_._2).sum / math.max(1, kept.count(_._2 == 0))
     assert(posMean > negMean + 0.2)
   }
 
   test("generative on empty input returns empty result") {
     val res = generative(Seq.empty)
-    assert(res.accuracies.isEmpty && res.probs.isEmpty)
+    assert(res.accuracies.isEmpty && res.posteriors.isEmpty)
   }
 
   test("discriminator learns a separable relation") {

@@ -105,6 +105,26 @@ class MinHashSpec extends AnyFunSuite {
     assert(res.passed, res)
   }
 
+  test("estMaxContainment equals the max of both estContainment directions bit for bit") {
+    val size = Gen.frequency(1 -> Gen.const(0), 4 -> Gen.choose(1, 300))
+    // the true size, zero, or one unrelated to the signature
+    def card(n: Int): Gen[Long] = Gen.frequency(3 -> Gen.const(n.toLong), 1 -> Gen.const(0L), 1 -> Gen.choose(0L, 5000L))
+    val prop = Prop.forAll(size, size, Gen.choose(0.0, 1.0), Gen.choose(0, Int.MaxValue)) { (nA, nB, shared, salt) =>
+      val inter = math.round(shared * math.min(nA, nB)).toInt
+      val a = (0 until nA).map(i => if (i < inter) s"$salt-c$i" else s"$salt-a$i")
+      val b = (0 until nB).map(i => if (i < inter) s"$salt-c$i" else s"$salt-b$i")
+      val (sa, sb) = (MinHash.signature(a), MinHash.signature(b))
+      Prop.forAll(card(nA), card(nB)) { (cardA, cardB) =>
+        val want = math.max(MinHash.estContainment(sa, cardA, sb, cardB), MinHash.estContainment(sb, cardB, sa, cardA))
+        val got = MinHash.estMaxContainment(sa, cardA, sb, cardB)
+        Prop(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
+          s"|A| $nA card $cardA, |B| $nB card $cardB, shared $inter: got $got, want $want"
+      }
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res)
+  }
+
   test("signature length parameter is honoured") {
     assert(MinHash.signature(set(10), numHashes = 64).length === 64)
   }
