@@ -10,7 +10,6 @@ object Jobs {
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cmdl-repro")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
   /** The synthetic lake named `name` at `scale`. */
@@ -163,12 +162,14 @@ object TrainJointJob {
   * candidate set, `lfs.lsh.queryThreshold` at 0.0, for every document and
   * text column, and of SRQL's table answers at topn 10: Table-mode
   * `contentSearch` of every document's title, solo `crossModalSearch` of every
-  * document and `pkfk` of every table. Two commits whose set-up agrees print
-  * the same digests.
+  * document and `pkfk` of every table, and of the raw bits of
+  * `lfs.pairFeatures` for every document (sorted by id) and text column
+  * (sorted by ref). Two commits whose set-up agrees print the same digests.
   *
   * It then times set-up again in the warmed JVM, split into column profiling,
-  * document profiling and each index build, and checks that the second
-  * profiling pass gives the same digests.
+  * document profiling, the labeling functions' four indexes and the other
+  * index builds, and checks that the second profiling pass gives the same
+  * digests.
   *
   * Usage: `spark-submit --class repro.jobs.SetupDigestJob repro.jar
   * [mlOpen|ukOpen|pharma] [scale]`.
@@ -178,10 +179,9 @@ object SetupDigestJob {
   import repro.core.Cmdl
   import repro.discover.JoinDiscovery
   import repro.ekg.Srql
-  import repro.embed.AnnoyIndex
+  import repro.label.LabelingFunctions
   import repro.lake.ColRef
   import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
-  import repro.sketch.LshEnsemble
   import repro.text.Bm25Index
   import Jobs.{digest, digestLines, digestLongs, rankedLine}
 
@@ -229,7 +229,7 @@ object SetupDigestJob {
       for ((kind, d) <- profiles) println(f"$kind%-18s $d")
       val probes = cmdl.docProfiles.sortBy(_.id).iterator.map { d =>
         val p = cmdl.lfs.probe(d)
-        (d.id +: cmdl.lfs.names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
+        (d.id +: LabelingFunctions.Names.map(n => n + "=" + p(n).toSeq.sorted.mkString(","))).mkString(" ")
       }
       println(f"${"lfs.probe"}%-18s ${digestLines(probes)}")
       val embProbes = cmdl.docProfiles.sortBy(_.id).iterator.map(d => ("doc " + d.id, d.contentEmb)) ++
@@ -264,16 +264,14 @@ object SetupDigestJob {
       println(f"${"srql crossmodal"}%-18s ${digestLines(docOrder.iterator.map(d =>
         rankedLine(d.id, srql.crossModalSearch(d.id, 10).items)))}")
       println(f"${"srql pkfk"}%-18s ${digestLines(tables.iterator.map(t => rankedLine(t, srql.pkfk(t, 10).items)))}")
+      val textByRef = cmdl.lfs.textCols.sortBy(_.ref)
+      println(f"${"label features"}%-18s ${digest(docOrder.iterator.flatMap(d =>
+        textByRef.iterator.flatMap(c => cmdl.lfs.pairFeatures(d, c).iterator)))}")
 
       println("warm set-up split:")
       val cols = timed("profile columns")(Profiler.profileColumns(spark, lake.rawColumns))
       val docs = timed("profile docs")(Profiler.profileDocs(spark, lake.docs))
-      val text = cols.filter(_.hasTag(Tags.TextSearch))
-      timed("annoy (semantic LF)")(new AnnoyIndex(text.map(c => (c.ref, c.contentEmb)).toIndexedSeq))
-      timed("lsh (syntactic LF)")(new LshEnsemble(text.map(c => LshEnsemble.Entry(c.ref, c.sig, c.card))))
-      timed("bm25 content LF")(new Bm25Index(text.map(c => c.ref -> c.bag).toMap))
-      timed("bm25 metadata LF")(new Bm25Index(text.map(c =>
-        c.ref -> (Profiler.nameTokens(c.table) ++ Profiler.nameTokens(c.column))).toMap))
+      timed("labeling functions")(new LabelingFunctions(cols))
       timed("bm25 docs")(new Bm25Index(docs.map(d => d.id -> d.bag).toMap))
       timed("syntactic join index")(new JoinDiscovery.SyntacticIndex(cols))
       println(s"re-profiling gives the same digests: ${profileDigests(cols, docs) == profiles}")

@@ -3,7 +3,7 @@ package repro.baseline
 import repro.discover.JoinDiscovery
 import repro.lake.ColRef
 import repro.profile.{ColumnProfile, Tags}
-import repro.sketch.{MinHash, Similarity}
+import repro.sketch.MinHash
 
 /** The Aurum [31] baseline, re-implemented from its published scoring rules.
   *
@@ -14,8 +14,6 @@ import repro.sketch.{MinHash, Similarity}
   * choice. PK-FK additionally requires the PK side to be strictly key-like
   * (uniqueness ≥ 0.95, no tolerance for duplicate-bearing keys) and applies
   * no schema-name filter; numeric pairs share CMDL's numeric rule (§6.2).
-  * Unionability combines schema similarity and Jaccard similarity by taking
-  * the maximum of the two (§6.3).
   */
 object Aurum {
 
@@ -38,8 +36,4 @@ object Aurum {
     JoinDiscovery.pkfkLinks(profiles) { (p, f) =>
       p.uniqueness >= PkUniqueness && MinHash.estJaccard(p.sig, f.sig) >= JaccardThreshold
     }
-
-  /** Column-level unionability score: max(schema similarity, Jaccard). */
-  def unionColumnScore(a: ColumnProfile, b: ColumnProfile): Double =
-    math.max(Similarity.nameSimilarity(a.column, b.column), MinHash.estJaccard(a.sig, b.sig))
 }

@@ -37,20 +37,18 @@ object D3L {
     (lenSim + digSim + alpSim) / 3.0
   }
 
-  /** Weighted-Euclidean combination of the signal distances, returned as a
-    * similarity (1 - distance). Join ranking uses value+name+format; union
-    * ranking adds the numeric signal.
+  /** Join weights of the name, value and format signals; the numeric signal
+    * only gates which pairs `joinScore` combines.
     */
-  def combine(s: Signals, weights: Signals = Signals(0.3, 0.5, 0.2, 0.0)): Double = {
-    val terms = Seq(
-      (weights.name, 1.0 - s.name),
-      (weights.value, 1.0 - s.value),
-      (weights.format, 1.0 - s.format),
-      (weights.numeric, 1.0 - s.numeric),
-    ).filter(_._1 > 0)
-    val wsum = terms.map(_._1).sum
-    val dist = math.sqrt(terms.map { case (w, d) => (w / wsum) * d * d }.sum)
-    1.0 - dist
+  private val Weights = Seq(0.3, 0.5, 0.2)
+  private val WeightSum = Weights.sum
+
+  /** Weighted-Euclidean combination of the name, value and format distances,
+    * returned as a similarity (1 - distance).
+    */
+  def combine(s: Signals): Double = {
+    val dists = Seq(1.0 - s.name, 1.0 - s.value, 1.0 - s.format)
+    1.0 - math.sqrt(Weights.zip(dists).map { case (w, d) => (w / WeightSum) * d * d }.sum)
   }
 
   /** Syntactic-join ranking by the combined signal similarity. */
@@ -66,8 +64,4 @@ object D3L {
     val s = signals(a, b)
     if (s.value > 0 || s.numeric > 0) combine(s) else 0.0
   }
-
-  /** Column-level unionability similarity (all four signals, equal weight). */
-  def unionColumnScore(a: ColumnProfile, b: ColumnProfile): Double =
-    combine(signals(a, b), Signals(0.25, 0.25, 0.25, 0.25))
 }

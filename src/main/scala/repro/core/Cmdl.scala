@@ -7,21 +7,20 @@ import scala.util.Random
 import org.apache.spark.sql.SparkSession
 
 import repro.discover.{DocToTable, JoinDiscovery, UnionDiscovery}
-import repro.embed.{EmbeddingMatrix, WordVectors}
 import repro.joint.{Mlp, TripletTraining}
 import repro.label.{LabelingFunctions, SnorkelLite}
 import repro.lake.Lake
 import repro.profile.{ColumnProfile, DocProfile, Profiler}
-import repro.sketch.MinHash
 import repro.text.Bm25Index
 
 /** The end-to-end CMDL system (Fig. 2): profiling → indexing → weak
   * supervision → joint representation → discovery front-ends.
   *
   * Construction runs the distributed profiler over both modalities and
-  * builds every index of §3. `weakLabels` runs the Fig. 3 pipeline
-  * (sampling, LF probes, generative EM, discriminator)
-  * and returns a relatedness function over (doc, column) pairs; `trainJoint`
+  * builds every index of §3; the text-column space (the LF indexes, their
+  * matrices and the discriminator features) lives in `lfs`. `weakLabels` runs the
+  * Fig. 3 pipeline (sampling, LF probes, generative EM, discriminator) and
+  * returns a relatedness function over (doc, column) pairs; `trainJoint`
   * runs the Fig. 4/5 triplet workflow and returns joint embeddings for all
   * DEs of both modalities.
   */
@@ -36,14 +35,15 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
   /** Document profiles by id; two documents sharing an id fail construction. */
   val docById: Map[String, DocProfile] = Cmdl.uniqueBy(docProfiles, "document id")(_.id, _.collection)
 
-  /** The four labeling-function indexes of Fig. 3 (also Table 6's probes). */
+  /** The four labeling-function indexes of Fig. 3 (also Table 6's probes)
+    * and the discriminator features over them.
+    */
   val lfs = new LabelingFunctions(colProfiles)
 
   /** Solo-embedding Doc→Table scan over the text columns' content embeddings
-    * (SRQL's cross-modal search without a joint model). It shares the matrix
-    * of `lfs.annoy`, which indexes exactly these embeddings in this order.
+    * (SRQL's cross-modal search without a joint model), on `lfs.content`.
     */
-  lazy val soloTables = new DocToTable.TableScan(lfs.annoy.vectors, lfs.textCols.map(_.table))
+  lazy val soloTables = new DocToTable.TableScan(lfs.content, lfs.textCols.map(_.table))
 
   /** BM25 over the document modality (content_search in Text mode). */
   lazy val bm25Docs = new Bm25Index(docProfiles.map(d => d.id -> d.bag).toMap)
@@ -63,29 +63,6 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
   // Weak supervision (Fig. 3)
   // ------------------------------------------------------------------
 
-  /** Discriminator features for a (doc, col) pair: the underlying similarity
-    * scores of the four index families.
-    */
-  def pairFeatures(d: DocProfile, c: ColumnProfile): Array[Double] = {
-    val x = new Array[Double](4)
-    fillFeatures(x, d, c, WordVectors.cosine(d.contentEmb, c.contentEmb), lfs.bm25Content.score(d.bag, c.ref),
-      WordVectors.cosine(d.metaEmb, c.metaEmb))
-    x
-  }
-
-  /** Fills `x` with the discriminator features of (d, c), given the pair's
-    * content cosine, BM25 content score and metadata cosine: the content
-    * cosine floored at 0, doc→column MinHash containment, BM25 / 10 capped at
-    * 1 and the metadata cosine floored at 0.
-    */
-  private def fillFeatures(x: Array[Double], d: DocProfile, c: ColumnProfile, contentCos: Double,
-      bm25: Double, metaCos: Double): Unit = {
-    x(0) = math.max(0.0, contentCos)
-    x(1) = MinHash.estContainment(d.sig, d.card, c.sig, c.card)
-    x(2) = math.min(1.0, bm25 / 10.0)
-    x(3) = math.max(0.0, metaCos)
-  }
-
   final case class WeakLabels(
       lfAccuracies: Seq[Double],
       discWeights: Array[Double],
@@ -96,40 +73,21 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
     /** Relatedness degree in [0,1] for any (doc, col) pair. */
     def rel(cmdl: Cmdl)(docId: String, colRef: String): Double =
       (cmdl.docById.get(docId), cmdl.colByRef.get(colRef)) match {
-        case (Some(d), Some(c)) => SnorkelLite.predict(discWeights, cmdl.pairFeatures(d, c))
+        case (Some(d), Some(c)) => SnorkelLite.predict(discWeights, cmdl.lfs.pairFeatures(d, c))
         case _                  => 0.0
       }
 
     /** `rel(cmdl)` of every document and text column, the label matrix joint
       * training takes: `relRows(cmdl)(d)(i)` is the label of
       * `cmdl.docProfiles(d)` and `cmdl.lfs.textCols(i)`. The rows are split
-      * across the common `ForkJoinPool`; each row computes both cosines by the
-      * blocked kernel (content over `lfs.annoy.vectors`, metadata over a
-      * matrix built here) and BM25 by one `scoreAll`, and turns them into
-      * features as `pairFeatures` does. Every value equals `rel`'s bit for bit.
+      * across the common `ForkJoinPool`, each one `lfs.featureRow`. Every
+      * value equals `rel`'s bit for bit.
       */
     def relRows(cmdl: Cmdl): Array[Array[Double]] = {
-      val cols = cmdl.lfs.textCols.toIndexedSeq
       val docs = cmdl.docProfiles.toIndexedSeq
-      val all = Array.range(0, cols.size)
-      val content = cmdl.lfs.annoy.vectors // row i: the content embedding of cols(i)
-      val meta = new EmbeddingMatrix(cols.map(_.metaEmb))
-      val bm25 = cmdl.lfs.bm25Content
-      val bm25At = cols.map(c => bm25.indexOf(c.ref)).toArray
-      def row(d: DocProfile): Array[Double] = {
-        val contentCos = new Array[Double](cols.size)
-        val metaCos = new Array[Double](cols.size)
-        content.cosines(d.contentEmb, all, cols.size, contentCos)
-        meta.cosines(d.metaEmb, all, cols.size, metaCos)
-        val bm25Scores = bm25.scoreAll(d.bag)
-        val x = new Array[Double](4)
-        Array.tabulate(cols.size) { i =>
-          cmdl.fillFeatures(x, d, cols(i), contentCos(i), bm25Scores(bm25At(i)), metaCos(i))
-          SnorkelLite.predict(discWeights, x)
-        }
-      }
       val rows = new Array[Array[Double]](docs.size)
-      IntStream.range(0, docs.size).parallel().forEach(d => rows(d) = row(docs(d)))
+      IntStream.range(0, docs.size).parallel().forEach(d =>
+        rows(d) = cmdl.lfs.featureRow(docs(d))(SnorkelLite.predict(discWeights, _)))
       rows
     }
   }
@@ -164,8 +122,8 @@ final class Cmdl(spark: SparkSession, val lake: Lake) {
     val negPairs = rnd.shuffle(pairs.filter(_._3.sum == 0))
       .take(math.max(positivePairs.size * 2, 50))
     val trainData =
-      positivePairs.zip(gen.posteriors).map { case ((d, c, _), q) => (pairFeatures(d, c), q) } ++
-      negPairs.map { case (d, c, _) => (pairFeatures(d, c), 0.02) }
+      positivePairs.zip(gen.posteriors).map { case ((d, c, _), q) => (lfs.pairFeatures(d, c), q) } ++
+      negPairs.map { case (d, c, _) => (lfs.pairFeatures(d, c), 0.02) }
     val w = SnorkelLite.trainDiscriminator(trainData.toIndexedSeq, seed = seed)
 
     WeakLabels(gen.accuracies, w, docs.map(_.id), cols.map(_.ref), gen.lastMaxChange)

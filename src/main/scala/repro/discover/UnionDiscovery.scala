@@ -12,8 +12,7 @@ import repro.sketch.{MinHash, Similarity}
   * first, then aligns the two tables with a maximal bipartite matching over
   * column pairs (TUS-style [49]) and scores the table pair by the normalized
   * matched weight. Single-measure variants drive Table 5's Relative Recall
-  * analysis; baseline column scorers (Aurum / D3L) plug into the same
-  * matching so the comparison isolates the scoring rule.
+  * analysis through the same matching.
   */
 object UnionDiscovery {
 

@@ -26,7 +26,7 @@ import scala.util.Random
   * embedding is reused until a step changes the weights (`Mlp.version`);
   * none of this changes a single bit of the result. The paper's PyTorch
   * semantics, one accumulated gradient per batch, would change the numerics
-  * and is not implemented (the first lever of ROADMAP item 1).
+  * and is not implemented (the first lever of ROADMAP item 2).
   */
 object TripletTraining {
 

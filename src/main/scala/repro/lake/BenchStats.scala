@@ -44,14 +44,13 @@ object BenchStats {
     }
 
   def table2(pharma: Lake, ukOpen: Lake, mlOpen: Lake): Seq[Table2Row] = {
-    val lakes = Seq(pharma, ukOpen, mlOpen)
+    val lakes = Seq(pharma, ukOpen, mlOpen).map(lake => (lake, columnCards(lake)))
 
     val docRows = for {
-      lake <- lakes
+      (lake, cards) <- lakes if lake.docBenches.nonEmpty
+      bagCards = lake.docs.map(d => d.id -> d.bagOfWords.distinct.size.toLong).toMap // mQCR's query side
       b <- lake.docBenches
     } yield {
-      val cards = columnCards(lake)
-      val bagCards: Map[String, Long] = lake.docs.map(d => d.id -> LakeGen.docBagCard(d)).toMap
       val qcrs = for {
         (doc, cols) <- b.docColumns.toSeq
         c <- cols
@@ -64,10 +63,9 @@ object BenchStats {
     }
 
     val joinRows = for {
-      lake <- lakes
+      (lake, cards) <- lakes
       b <- lake.joinBenches
     } yield {
-      val cards = columnCards(lake)
       val qcrs = for {
         (q, answers) <- b.queries.toSeq
         a <- answers
@@ -80,10 +78,9 @@ object BenchStats {
     }
 
     val pkfkRows = for {
-      lake <- lakes
+      (lake, cards) <- lakes
       b <- lake.pkfkBenches
     } yield {
-      val cards = columnCards(lake)
       val qcrs = b.gt.toSeq.flatMap { case (pk, fk) =>
         val cp = cards.getOrElse(pk, 0L); val cf = cards.getOrElse(fk, 0L)
         if (cp > 0 && cf > 0) Some(cf.toDouble / cp) else None
@@ -95,7 +92,7 @@ object BenchStats {
     }
 
     val unionRows = for {
-      lake <- lakes
+      (lake, _) <- lakes
       b <- lake.unionBenches
     } yield {
       val medCardOfTable: Map[String, Double] = lake.tables.map { t =>

@@ -1,12 +1,12 @@
 package repro.lake
 
-import repro.profile.{RawColumn, RawDoc}
+import repro.profile.{ColumnProfile, RawColumn, RawDoc}
 
 /** A column reference `table.column` — the DE identity used by every
   * benchmark ground truth and discovery result.
   */
 final case class ColRef(table: String, column: String) {
-  def render: String = s"$table.$column"
+  def render: String = ColumnProfile.ref(table, column)
 }
 
 /** One structured table of a lake, belonging to a named collection

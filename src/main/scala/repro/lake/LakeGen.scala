@@ -4,7 +4,6 @@ import scala.collection.mutable
 import scala.util.Random
 
 import repro.profile.{RawColumn, RawDoc}
-import repro.text.Tokenizer
 
 /** Synthetic generators for the three evaluation data lakes (Table 1).
   *
@@ -798,8 +797,4 @@ object LakeGen {
       joinBenches = Seq(joinBenchFor("SS"), joinBenchFor("MS"), joinBenchFor("LS")),
     )
   }
-
-  /** Bag-of-words cardinality of a document — used for mQCR (Table 2). */
-  def docBagCard(d: RawDoc): Long =
-    Tokenizer.bagOfWords(d.title + " " + d.text).distinct.size.toLong
 }

@@ -37,7 +37,7 @@ object Profiler {
   val MaxJoinableValueLength = 40
 
   /** Terms present in more than this fraction of documents are dropped. */
-  val DefaultMaxDfFrac = 0.5
+  val MaxDfFrac = 0.5
 
   def profileColumns(spark: SparkSession, cols: Seq[RawColumn]): Seq[ColumnProfile] =
     distributedMap(spark, cols)(profileColumn)
@@ -81,7 +81,7 @@ object Profiler {
       bag = tokens,
       sig = MinHash.signature(distinct),
       contentEmb = WordVectors.meanPool(tokens),
-      metaEmb = WordVectors.meanPool(nameTokens(raw.table) ++ nameTokens(raw.column)),
+      metaEmb = WordVectors.meanPool(columnMetaTokens(raw.table, raw.column)),
       formatFeats = Array(avgLen, fracDigit, fracAlpha),
       numMin = if (nums.nonEmpty) nums.min else Double.NaN,
       numMax = if (nums.nonEmpty) nums.max else Double.NaN,
@@ -92,19 +92,15 @@ object Profiler {
     )
   }
 
-  def profileDocs(
-      spark: SparkSession,
-      docs: Seq[RawDoc],
-      maxDfFrac: Double = DefaultMaxDfFrac,
-  ): Seq[DocProfile] = {
+  def profileDocs(spark: SparkSession, docs: Seq[RawDoc]): Seq[DocProfile] = {
     // 1. NLP pipeline per document (distributed map).
-    val bags = distributedMap(spark, docs)(d => Tokenizer.bagOfWords(d.title + " " + d.text))
+    val bags = distributedMap(spark, docs)(_.bagOfWords)
 
     // 2. Corpus-level doc-frequency filter on the driver: terms occurring in
-    //    more than maxDfFrac of the documents are non-discriminative.
+    //    more than MaxDfFrac of the documents are non-discriminative.
     val df = mutable.HashMap.empty[String, Int]
     for (bag <- bags; t <- bag.distinct) df.update(t, df.getOrElse(t, 0) + 1)
-    val limit = maxDfFrac * docs.size
+    val limit = MaxDfFrac * docs.size
     val stopTerms = df.collect { case (t, n) if n > limit && n > 1 => t }.toSet // n > 1: never drop on degenerate corpora
 
     // 3. Sketch each filtered bag (distributed map).
@@ -119,7 +115,7 @@ object Profiler {
         card = distinct.size.toLong,
         sig = MinHash.signature(distinct),
         contentEmb = WordVectors.meanPool(bag),
-        metaEmb = WordVectors.meanPool(Tokenizer.bagOfWords(d.title)),
+        metaEmb = WordVectors.meanPool(docMetaTokens(d.title)),
       )
     }
   }
@@ -136,4 +132,10 @@ object Profiler {
   /** Tokens of a table/column identifier: split on `_` and camel case. */
   def nameTokens(name: String): Seq[String] =
     Tokenizer.tokenize(CamelHump.matcher(name).replaceAll("$1 $2"))
+
+  /** A column's metadata tokens, its table's then its own name tokens (`metaEmb`, the metadata LF's index). */
+  def columnMetaTokens(table: String, column: String): Seq[String] = nameTokens(table) ++ nameTokens(column)
+
+  /** A document's metadata tokens, its title's bag of words (`metaEmb`, the metadata LF's probe). */
+  def docMetaTokens(title: String): Seq[String] = Tokenizer.bagOfWords(title)
 }

@@ -1,5 +1,7 @@
 package repro.profile
 
+import repro.text.Tokenizer
+
 /** Raw inputs to and sketch outputs of the CMDL profiler (§3).
   *
   * `RawColumn` / `RawDoc` are the raw rows of the lake (one type per
@@ -24,7 +26,10 @@ final case class RawDoc(
     id: String,
     title: String,
     text: String,
-)
+) {
+  /** The bag of words of the title and text, before the corpus-level doc-frequency filter. */
+  def bagOfWords: Seq[String] = Tokenizer.bagOfWords(title + " " + text)
+}
 
 /** Column-level sketches. `sig` is the minwise signature over the distinct
   * lowercased values; `contentEmb` / `metaEmb` are the 100-d solo embeddings
@@ -49,9 +54,14 @@ final case class ColumnProfile(
     numMax: Double,
     tags: Seq[String],
 ) {
-  def ref: String = s"$table.$column"
+  val ref: String = ColumnProfile.ref(table, column)
   def isNumeric: Boolean = dtype == "numeric"
   def hasTag(t: String): Boolean = tags.contains(t)
+}
+
+object ColumnProfile {
+  /** The `table.column` reference of a column: profiles, ground truths and discovery results all name a column so. */
+  def ref(table: String, column: String): String = s"$table.$column"
 }
 
 /** Document-level sketches over the NLP-pipeline bag of words. */

@@ -2,10 +2,10 @@ package repro.sketch
 
 /** Exact similarity measures used across CMDL and the baselines (§3, §5.1).
   *
-  * These are the *ground-truth-grade* measures: the brute-force benchmark
-  * generators (Table 2, "Brute force") and the unit tests use them, while the
-  * online system uses their sketch-based approximations (MinHash /
-  * LshEnsemble). Keeping both lets the tests quantify approximation error.
+  * `jaccard` and `containment` are the exact set measures whose sketch-based
+  * approximations (MinHash / LshEnsemble) the online system uses; the unit
+  * tests keep them to quantify approximation error. The brute-force ground
+  * truth (`LakeGen.bruteForceJoinGt`) counts its exact overlaps itself.
   */
 object Similarity {
 

@@ -2,7 +2,6 @@ package repro.baseline
 
 import repro.{SparkSpec, TestFixtures}
 import repro.lake.ColRef
-import repro.sketch.Similarity
 
 class BaselineSpec extends SparkSpec {
 
@@ -48,13 +47,6 @@ class BaselineSpec extends SparkSpec {
     assert(falses.exists { case (p, f) =>
       Set(p.column, f.column).intersect(Set("record_id", "mol_ref", "compound_key")).nonEmpty
     })
-  }
-
-  test("aurum union column score is the max of schema and jaccard") {
-    val a = cmdl.colByRef("drugs.drug_id")
-    val b = cmdl.colByRef("trials.drug_id")
-    val s = Aurum.unionColumnScore(a, b)
-    assert(s >= Similarity.nameSimilarity(a.column, b.column) - 1e-9)
   }
 
   // ---------------- D3L ----------------

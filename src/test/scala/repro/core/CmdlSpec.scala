@@ -115,7 +115,7 @@ class CmdlSpec extends SparkSpec {
   test("pair features are bounded") {
     val d = cmdl.docProfiles.head
     val c = cmdl.lfs.textCols.head
-    assert(cmdl.pairFeatures(d, c).forall(f => f >= 0.0 && f <= 1.0))
+    assert(cmdl.lfs.pairFeatures(d, c).forall(f => f >= 0.0 && f <= 1.0))
   }
 
   test("relRows equals rel bit for bit on every (doc, text column) pair") {

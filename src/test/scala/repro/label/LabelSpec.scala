@@ -79,12 +79,12 @@ class LabelingFunctionsSpec extends SparkSpec {
   }
 
   test("four labeling functions are exposed") {
-    assert(lfs.names === Seq("semantic", "syntactic", "content", "metadata"))
+    assert(LabelingFunctions.Names === Seq("semantic", "syntactic", "content", "metadata"))
   }
 
   test("probe returns a result per labeling function") {
     val probe = lfs.probe(linkedDoc._1)
-    assert(probe.keySet === lfs.names.toSet)
+    assert(probe.keySet === LabelingFunctions.Names.toSet)
   }
 
   test("probe results are bounded by k") {
@@ -105,10 +105,20 @@ class LabelingFunctionsSpec extends SparkSpec {
     val ref = gtCols.head.render
     val votes = lfs.votes(probe, ref)
     assert(votes.size === 4)
-    assert(votes.zip(lfs.names).forall { case (v, n) => (v == 1) == probe(n).contains(ref) })
+    assert(votes.zip(LabelingFunctions.Names).forall { case (v, n) => (v == 1) == probe(n).contains(ref) })
   }
 
   test("text-searchable columns only are indexed") {
     assert(lfs.textCols.forall(_.hasTag(repro.profile.Tags.TextSearch)))
+  }
+
+  test("featureRow gives every text column's pairFeatures bit for bit") {
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    for (d <- cmdl.docProfiles) {
+      val rows = Seq.tabulate(4)(j => lfs.featureRow(d)(_(j)))
+      assert(rows.forall(_.length == lfs.textCols.size))
+      for ((c, i) <- lfs.textCols.zipWithIndex)
+        assert(rows.map(r => bits(r(i))) === lfs.pairFeatures(d, c).toSeq.map(bits), s"${d.id} ${c.ref}")
+    }
   }
 }

@@ -4,6 +4,7 @@ import org.scalacheck.{Gen, Prop, Test => Check}
 
 import repro.{Oracle, SparkSpec, TestFixtures}
 import repro.embed.WordVectors
+import repro.lake.ColRef
 import repro.sketch.MinHash
 import repro.text.{DocFreqOracle, Tokenizer, TokenizerSpec}
 
@@ -79,6 +80,12 @@ class ProfilerSpec extends SparkSpec {
     assert(Profiler.profileColumn(textCol).ref === "drugs.drug_name")
   }
 
+  test("ColRef renders every column as its profile's ref, dotted names included") {
+    val dotted = Profiler.profileColumn(RawColumn("c", "v1.2", "dose.mg", "numeric", Seq("1", "2")))
+    for (p <- TestFixtures.cmdlPharma.colProfiles :+ dotted) assert(ColRef(p.table, p.column).render === p.ref)
+    assert(dotted.ref === "v1.2.dose.mg")
+  }
+
   test("profileColumns over Spark matches the driver-side profile") {
     val fromSpark = Profiler.profileColumns(spark, Seq(textCol, numCol, catCol))
     val local = Seq(textCol, numCol, catCol).map(Profiler.profileColumn)
@@ -106,16 +113,16 @@ class ProfilerSpec extends SparkSpec {
 
   test("profileDocs applies the corpus doc-frequency filter") {
     val docs = (1 to 10).map(i => RawDoc("pm", s"d$i", s"title$i", s"ubiquitous term plus unique$i"))
-    val ps = Profiler.profileDocs(spark, docs, maxDfFrac = 0.5)
+    val ps = Profiler.profileDocs(spark, docs)
     // "ubiquitous" lemmatizes to "ubiquitou" and occurs in every doc -> dropped
     assert(ps.forall(p => !p.bag.contains("ubiquitou") && !p.bag.contains("ubiquitous")))
     assert(ps.exists(_.bag.exists(_.startsWith("unique"))))
   }
 
   /** Bags by doc id from `profileDocs` and from the doc-frequency oracle. */
-  private def profiledAndOracleBags(docs: Seq[RawDoc], maxDfFrac: Double = Profiler.DefaultMaxDfFrac) = {
-    val bags = DocFreqOracle.docFreqFilter(docs.map(d => Tokenizer.bagOfWords(d.title + " " + d.text)), maxDfFrac)
-    (Profiler.profileDocs(spark, docs, maxDfFrac).map(p => p.id -> p.bag).toMap, docs.map(_.id).zip(bags).toMap)
+  private def profiledAndOracleBags(docs: Seq[RawDoc]) = {
+    val bags = DocFreqOracle.docFreqFilter(docs.map(d => Tokenizer.bagOfWords(d.title + " " + d.text)))
+    (Profiler.profileDocs(spark, docs).map(p => p.id -> p.bag).toMap, docs.map(_.id).zip(bags).toMap)
   }
 
   private def docs(texts: String*): Seq[RawDoc] =
@@ -130,16 +137,16 @@ class ProfilerSpec extends SparkSpec {
   }
 
   test("profileDocs keeps a term in exactly maxDfFrac of the documents, as the oracle does") {
-    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra", "kinase zebra", "kinase otter", "heron"), 0.5)
+    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra", "kinase zebra", "kinase otter", "heron"))
     assert(profiled === oracle)
     assert(profiled("d0") === Seq("zebra")) // zebra: 2 of 4 documents; kinase: 3 of 4
   }
 
   test("profileDocs keeps a term of one document that only the df > 1 guard saves, as the oracle does") {
-    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra", "kinase otter", "heron", "badger"), 0.1)
+    val (profiled, oracle) = profiledAndOracleBags(docs("kinase zebra"))
     assert(profiled === oracle)
-    // every term is in more than 10% of the 4 documents; only kinase is in more than one
-    assert(profiled.values.flatten.toSet === Set("zebra", "otter", "heron", "badger"))
+    // each term is in 1 of 1 documents, above MaxDfFrac, but in no more than one
+    assert(profiled("d0") === Seq("kinase", "zebra"))
   }
 
   test("profileColumns keeps input order, each profile equal to profileColumn's") {

@@ -9,7 +9,7 @@ import repro.profile.Profiler
   * driver-side count must keep exactly the terms this keeps.
   */
 object DocFreqOracle {
-  def docFreqFilter(bags: Seq[Seq[String]], maxDfFrac: Double = Profiler.DefaultMaxDfFrac): Seq[Seq[String]] = {
+  def docFreqFilter(bags: Seq[Seq[String]], maxDfFrac: Double = Profiler.MaxDfFrac): Seq[Seq[String]] = {
     val n = bags.size.toDouble
     val df = bags.flatMap(_.distinct).groupBy(identity).view.mapValues(_.size).toMap
     val drop = (t: String) => df(t) > maxDfFrac * n && df(t) > 1
