@@ -153,7 +153,10 @@ object TrainJointJob {
 }
 
 /** Builds a lake's `Cmdl` and prints what identifies its set-up bit for bit:
-  * SHA-256 digests of every column and document profile's `sig`, `contentEmb`
+  * SHA-256 digests of the lake itself (every raw column's collection, table,
+  * name and dtype followed by its values in order, every document's
+  * collection, id, title and text, and every benchmark's id followed by its
+  * ground truth as sorted lines), of every column and document profile's `sig`, `contentEmb`
   * and `metaEmb` (sorted by ref and id), of `lfs.probe` for every document, of
   * `lfs.annoy.query` (k = 10, ids and raw score bits) for the content
   * embedding of every document and text column, of `syntacticIndex.topK` and the Aurum and D3L baselines' `topK` (k = 10,
@@ -180,7 +183,7 @@ object SetupDigestJob {
   import repro.discover.JoinDiscovery
   import repro.ekg.Srql
   import repro.label.LabelingFunctions
-  import repro.lake.ColRef
+  import repro.lake.{ColRef, Lake}
   import repro.profile.{ColumnProfile, DocProfile, Profiler, Tags}
   import repro.text.Bm25Index
   import Jobs.{digest, digestLines, digestLongs, rankedLine}
@@ -200,6 +203,18 @@ object SetupDigestJob {
       "doc contentEmb" -> floats(ds.map(_.contentEmb)),
       "doc metaEmb" -> floats(ds.map(_.metaEmb)),
     )
+  }
+
+  /** The lines of the `lake` digest: raw columns and documents in lake order, then each benchmark's ground truth. */
+  private def lakeLines(lake: Lake): Iterator[String] = {
+    def bench(id: String, gt: Iterable[String]) = id +: gt.toSeq.sorted
+    def line(q: String, answers: Iterable[String]) = (q +: answers.toSeq.sorted).mkString(" ")
+    lake.rawColumns.iterator.flatMap(c => s"${c.collection} ${c.table} ${c.column} ${c.dtype}" +: c.values) ++
+      lake.docs.iterator.map(d => s"${d.collection} ${d.id} ${d.title} ${d.text}") ++
+      lake.docBenches.iterator.flatMap(b => bench(b.id, b.docColumns.map { case (d, cs) => line(d, cs.map(_.render)) })) ++
+      lake.joinBenches.iterator.flatMap(b => bench(b.id, b.queries.map { case (q, as) => line(q.render, as.map(_.render)) })) ++
+      lake.pkfkBenches.iterator.flatMap(b => bench(b.id, b.gt.map { case (p, f) => line(p.render, Seq(f.render)) })) ++
+      lake.unionBenches.iterator.flatMap(b => bench(b.id, b.queries.map { case (q, as) => line(q, as) }))
   }
 
   private def joinLine(query: String, ranked: Seq[(ColRef, Double)]): String =
@@ -224,6 +239,7 @@ object SetupDigestJob {
       println(s"=== Set-up: $lakeName at scale $scale, ${cmdl.colProfiles.size} columns " +
         s"(${cmdl.lfs.textCols.size} text, ${joinable.size} joinable), ${cmdl.docProfiles.size} docs ===")
       println(f"first set-up (cold JVM)  ${(System.nanoTime() - t0) / 1e9}%.3f s")
+      println(f"${"lake"}%-18s ${digestLines(lakeLines(lake))}")
 
       val profiles = profileDigests(cmdl.colProfiles, cmdl.docProfiles)
       for ((kind, d) <- profiles) println(f"$kind%-18s $d")

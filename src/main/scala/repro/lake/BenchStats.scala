@@ -56,7 +56,7 @@ object BenchStats {
         c <- cols
         card = cards.getOrElse(c, 0L) if card > 0
       } yield bagCards.getOrElse(doc, 0L).toDouble / card
-      Table2Row("Doc-to-Table", b.id, lake.name, datasetsLabel(b.id),
+      Table2Row("Doc-to-Table", b.id, lake.name, b.datasets,
         numQueries = b.queries.size,
         avgAnswerSize = avg(b.queries.values.map(_.size.toDouble)),
         mQcr = median(qcrs))
@@ -111,13 +111,6 @@ object BenchStats {
     }
 
     docRows ++ joinRows ++ pkfkRows ++ unionRows
-  }
-
-  private def datasetsLabel(benchId: String): String = benchId match {
-    case "1A" => "Synthetic text + Govt. data"
-    case "1B" => "PubMed + DrugBank"
-    case "1C" => "Reviews + MS"
-    case other => other
   }
 
   /** Exact distinct cardinality per column ref of a lake. */

@@ -16,9 +16,10 @@ final case class LakeTable(collection: String, name: String, columns: Vector[Raw
 
 /** Doc→Table benchmark (1A/1B/1C): a query is a document, the answer the set
   * of related tables; `docColumns` keeps the column-level links the table
-  * answers aggregate from (and from which mQCR is computed).
+  * answers aggregate from (and from which mQCR is computed). `datasets` names
+  * the document and table collections it spans (Table 2's "Datasets").
   */
-final case class DocBench(id: String, docColumns: Map[String, Set[ColRef]]) {
+final case class DocBench(id: String, datasets: String, docColumns: Map[String, Set[ColRef]]) {
   val queries: Map[String, Set[String]] = docColumns.view.mapValues(_.map(_.table)).toMap
 }
 

@@ -30,7 +30,8 @@ import repro.profile.{RawColumn, RawDoc}
   *
   * Everything is deterministic in (scale, seed). Ground truths follow
   * Table 2's "Ground Truth Generation" column: brute-force exact containment
-  * for 2B/2C, schema definitions for 2D, generator annotations elsewhere.
+  * for 2B/2C, the schema's FK declarations for 2D, generator annotations
+  * elsewhere.
   */
 object LakeGen {
 
@@ -48,7 +49,7 @@ object LakeGen {
 
   private def n(base: Int, scale: Double): Int = math.max(2, math.round(base * scale).toInt)
 
-  private def sampleDistinct(rnd: Random, pool: Seq[String], k: Int): Vector[String] =
+  private def sampleDistinct[A](rnd: Random, pool: Seq[A], k: Int): Vector[A] =
     rnd.shuffle(pool.toVector).take(math.max(1, math.min(k, pool.size)))
 
   /** Rows with duplicates: keeps all `values` once plus `dupFrac` repeats. */
@@ -60,16 +61,13 @@ object LakeGen {
   private def repeated(rnd: Random, pool: Vector[String], rows: Int): Vector[String] =
     if (pool.isEmpty) pool else Vector.fill(rows)(pool(rnd.nextInt(pool.size)))
 
-  private def cat(collection: String, table: String, name: String, cats: Vector[String],
-      rows: Int, rnd: Random): RawColumn =
-    RawColumn(collection, table, name, "categorical", repeated(rnd, cats, rows))
+  private def cat(name: String, cats: Vector[String], rows: Int, rnd: Random): Col =
+    Col(name, "categorical", repeated(rnd, cats, rows))
 
-  private def numeric(collection: String, table: String, name: String, lo: Int, hi: Int,
-      rows: Int, rnd: Random): RawColumn = {
+  private def numeric(name: String, lo: Int, hi: Int, rows: Int, rnd: Random): Col = {
     val vals = Vector.fill(rows)((lo + rnd.nextInt(math.max(1, hi - lo + 1))).toString)
     // ensure the range endpoints are present so min/max profiles are exact
-    RawColumn(collection, table, name, "numeric", vals.updated(0, lo.toString)
-      .updated(math.min(1, vals.size - 1), hi.toString))
+    Col(name, "numeric", vals.updated(0, lo.toString).updated(math.min(1, vals.size - 1), hi.toString))
   }
 
   /** Mixes `dirtFrac` out-of-domain values into a column (lowers containment). */
@@ -84,6 +82,52 @@ object LakeGen {
   private def mixed(rnd: Random, pool: Vector[String], frac: Double, freshRoot: String): Vector[String] = {
     val keep = sampleDistinct(rnd, pool, math.max(1, math.round(pool.size * frac).toInt))
     keep ++ dom(freshRoot, math.max(1, pool.size - keep.size))
+  }
+
+  // ------------------------------------------------------------------
+  // table declarations
+  // ------------------------------------------------------------------
+
+  /** One column of a table declaration. A foreign key names the primary-key
+    * column it references (`references`); the 2D ground truth is read off
+    * those declarations.
+    */
+  private final case class Col(name: String, dtype: String, values: Seq[String], pk: Option[ColRef] = None) {
+    def references(table: String, column: String): Col = copy(pk = Some(ColRef(table, column)))
+  }
+
+  /** The tables of one lake in declaration order, and the PK-FK links their
+    * columns declare. `raw` is the only place a column spec becomes a
+    * `RawColumn`; it shares the spec's values rather than copying them.
+    */
+  private final class Tables {
+    val all = mutable.ArrayBuffer.empty[LakeTable]
+    private val links = mutable.ArrayBuffer.empty[(String, (ColRef, ColRef))]
+
+    private def raw(collection: String, table: String)(c: Col): RawColumn = {
+      for (pk <- c.pk) links += ((collection, (pk, ColRef(table, c.name))))
+      RawColumn(collection, table, c.name, c.dtype, c.values)
+    }
+
+    def add(collection: String, name: String, cols: Iterable[Col]): Unit =
+      all += LakeTable(collection, name, cols.map(raw(collection, name)).toVector)
+
+    /** Appends `c` to the `i`-th table; returns the new column's ref. */
+    def addColumn(i: Int, c: Col): ColRef = {
+      val t = all(i)
+      all(i) = t.copy(columns = t.columns :+ raw(t.collection, t.name)(c))
+      ColRef(t.name, c.name)
+    }
+
+    def in(collection: String): Vector[LakeTable] = all.filter(_.collection == collection).toVector
+
+    /** 2D (Table 2: "Schema"): every (pk, fk) link declared in `collection`. */
+    def pkfkBench(id: String, collection: String): PkfkBench =
+      PkfkBench(id, collection, links.collect { case (`collection`, link) => link }.toSet)
+
+    /** 2B/2C (Table 2: "Brute force"): exact containment over `collection`'s columns. */
+    def bruteForceBench(id: String, collection: String): JoinBench =
+      JoinBench(id, collection, bruteForceJoinGt(in(collection).flatMap(_.columns)))
   }
 
   // ------------------------------------------------------------------
@@ -130,7 +174,7 @@ object LakeGen {
 
   def pharma(scale: Double = 1.0, seed: Long = 101): Lake = {
     val rnd = new Random(seed)
-    val tables = mutable.ArrayBuffer.empty[LakeTable]
+    val tables = new Tables
 
     // ---------------- DrugBank ----------------
     val C = "DrugBank"
@@ -167,125 +211,106 @@ object LakeGen {
     val fkMfg = sampleDistinct(rnd, mfgId, (nMfg * 0.50).toInt)
     val fkTrial = sampleDistinct(rnd, trialId, (nTrial * 0.60).toInt)
 
-    def t(name: String, cols: RawColumn*): Unit = tables += LakeTable(C, name, cols.toVector)
+    // DrugBank's FK declarations stand for Table 2's "manual" 2D ground truth.
+    def t(name: String, cols: Col*): Unit = tables.add(C, name, cols)
+    def drugFk(name: String, values: Seq[String]): Col = Col(name, "id", values).references("drugs", "drug_id")
 
     val drugTypes = Vector("smallmolecule", "biotech", "vaccine", "antibody")
     t("drugs",
-      RawColumn(C, "drugs", "drug_id", "id", withDups(rnd, drugId, 0.05)),
-      RawColumn(C, "drugs", "drug_name", "text", withDups(rnd, drugName, 0.05)),
-      cat(C, "drugs", "drug_type", drugTypes, nDrug, rnd),
-      RawColumn(C, "drugs", "description", "text",
+      Col("drug_id", "id", withDups(rnd, drugId, 0.05)),
+      Col("drug_name", "text", withDups(rnd, drugName, 0.05)),
+      cat("drug_type", drugTypes, nDrug, rnd),
+      Col("description", "text",
         drugName.take(nDrug / 2).map(d => s"clinical monograph describing $d pharmacology mechanism dosage interactions and adverse events in extended prose")),
     )
     t("drug_status",
-      RawColumn(C, "drug_status", "drug_id", "id", withDups(rnd, fkA, 0.08)),
-      cat(C, "drug_status", "status", Vector("approved", "investigational", "withdrawn"), fkA.size, rnd),
+      drugFk("drug_id", withDups(rnd, fkA, 0.08)),
+      cat("status", Vector("approved", "investigational", "withdrawn"), fkA.size, rnd),
     )
     t("enzymes",
-      RawColumn(C, "enzymes", "enzyme_id", "id", withDups(rnd, enzId, 0.08)),
-      RawColumn(C, "enzymes", "enzyme_name", "text", enzName),
-      RawColumn(C, "enzymes", "gene_name", "text", sampleDistinct(rnd, targName, nTarg / 2)),
+      Col("enzyme_id", "id", withDups(rnd, enzId, 0.08)),
+      Col("enzyme_name", "text", enzName),
+      Col("gene_name", "text", sampleDistinct(rnd, targName, nTarg / 2)),
     )
     t("targets",
-      RawColumn(C, "targets", "target_id", "id", targId),
-      RawColumn(C, "targets", "target_name", "text", targName),
-      cat(C, "targets", "organism", Vector("human", "mouse", "rat", "yeast"), nTarg, rnd),
+      Col("target_id", "id", targId),
+      Col("target_name", "text", targName),
+      cat("organism", Vector("human", "mouse", "rat", "yeast"), nTarg, rnd),
     )
     t("manufacturers",
-      RawColumn(C, "manufacturers", "manufacturer_id", "id", mfgId),
-      RawColumn(C, "manufacturers", "manufacturer_name", "text", mfgName),
+      Col("manufacturer_id", "id", mfgId),
+      Col("manufacturer_name", "text", mfgName),
     )
     t("trials",
-      RawColumn(C, "trials", "trial_id", "id", trialId),
-      RawColumn(C, "trials", "drug_id", "id", repeated(rnd, trialsPool, (trialsPool.size * 1.5).toInt)),
-      cat(C, "trials", "phase", Vector("phase1", "phase2", "phase3", "phase4"), nTrial, rnd),
+      Col("trial_id", "id", trialId),
+      drugFk("drug_id", repeated(rnd, trialsPool, (trialsPool.size * 1.5).toInt)),
+      cat("phase", Vector("phase1", "phase2", "phase3", "phase4"), nTrial, rnd),
     )
     t("trial_outcomes",
-      RawColumn(C, "trial_outcomes", "trial_id", "id", withDups(rnd, fkTrial, 0.02)),
-      cat(C, "trial_outcomes", "outcome", Vector("completed", "terminated", "withdrawn"), fkTrial.size, rnd),
+      Col("trial_id", "id", withDups(rnd, fkTrial, 0.02)).references("trials", "trial_id"),
+      cat("outcome", Vector("completed", "terminated", "withdrawn"), fkTrial.size, rnd),
     )
     t("drug_interactions",
-      RawColumn(C, "drug_interactions", "drug_id", "id", repeated(rnd, fkC, (fkC.size * 1.8).toInt)),
-      RawColumn(C, "drug_interactions", "interacting_drug_id", "id", withDups(rnd, fkE, 0.10)),
-      cat(C, "drug_interactions", "severity", Vector("major", "moderate", "minor"), fkC.size, rnd),
+      drugFk("drug_id", repeated(rnd, fkC, (fkC.size * 1.8).toInt)),
+      drugFk("interacting_drug_id", withDups(rnd, fkE, 0.10)),
+      cat("severity", Vector("major", "moderate", "minor"), fkC.size, rnd),
     )
     t("enzyme_targets",
-      RawColumn(C, "enzyme_targets", "enzyme_id", "id", withDups(rnd, fkEnzMed, 0.09)),
-      RawColumn(C, "enzyme_targets", "drug_id", "id", withDups(rnd, fkB, 0.10)),
-      cat(C, "enzyme_targets", "action", Vector("inhibitor", "inducer", "substrate"), fkEnzMed.size, rnd),
+      Col("enzyme_id", "id", withDups(rnd, fkEnzMed, 0.09)).references("enzymes", "enzyme_id"),
+      drugFk("drug_id", withDups(rnd, fkB, 0.10)),
+      cat("action", Vector("inhibitor", "inducer", "substrate"), fkEnzMed.size, rnd),
     )
     t("drug_targets",
-      RawColumn(C, "drug_targets", "drug_id", "id", withDups(rnd, fkD, 0.12)),
-      RawColumn(C, "drug_targets", "target_id", "id", repeated(rnd, fkTargBig, (fkTargBig.size * 1.4).toInt)),
+      drugFk("drug_id", withDups(rnd, fkD, 0.12)),
+      Col("target_id", "id", repeated(rnd, fkTargBig, (fkTargBig.size * 1.4).toInt)).references("targets", "target_id"),
     )
     t("target_pathways",
-      RawColumn(C, "target_pathways", "target_id", "id", fkTargSmall),
-      RawColumn(C, "target_pathways", "pathway_name", "text", repeated(rnd, pathName, pathName.size)),
+      Col("target_id", "id", fkTargSmall).references("targets", "target_id"),
+      Col("pathway_name", "text", repeated(rnd, pathName, pathName.size)),
     )
     t("drug_pathways",
-      RawColumn(C, "drug_pathways", "drug_id", "id", repeated(rnd, dpPool, (dpPool.size * 1.3).toInt)),
-      RawColumn(C, "drug_pathways", "pathway_name", "text", repeated(rnd, pathName, pathName.size)),
+      drugFk("drug_id", repeated(rnd, dpPool, (dpPool.size * 1.3).toInt)),
+      Col("pathway_name", "text", repeated(rnd, pathName, pathName.size)),
     )
     t("drug_conditions",
-      RawColumn(C, "drug_conditions", "drug_id", "id", withDups(rnd, dcPool, 0.15)),
-      RawColumn(C, "drug_conditions", "condition_name", "text", repeated(rnd, condName, condName.size)),
+      drugFk("drug_id", withDups(rnd, dcPool, 0.15)),
+      Col("condition_name", "text", repeated(rnd, condName, condName.size)),
     )
     t("drug_salts",
-      RawColumn(C, "drug_salts", "drug_id", "id", withDups(rnd, saltsPool, 0.09)),
-      cat(C, "drug_salts", "salt_form", Vector("hydrochloride", "sodium", "sulfate"), saltsPool.size, rnd),
+      drugFk("drug_id", withDups(rnd, saltsPool, 0.09)),
+      cat("salt_form", Vector("hydrochloride", "sodium", "sulfate"), saltsPool.size, rnd),
     )
     t("dosages",
-      RawColumn(C, "dosages", "drug_id", "id", repeated(rnd, dosPool, (dosPool.size * 1.7).toInt)),
-      numeric(C, "dosages", "dose_mg", 1, 500, dosPool.size * 2, rnd),
-      cat(C, "dosages", "route", Vector("oral", "intravenous", "topical"), dosPool.size, rnd),
+      drugFk("drug_id", repeated(rnd, dosPool, (dosPool.size * 1.7).toInt)),
+      numeric("dose_mg", 1, 500, dosPool.size * 2, rnd),
+      cat("route", Vector("oral", "intravenous", "topical"), dosPool.size, rnd),
     )
     t("prices",
-      RawColumn(C, "prices", "drug_id", "id", repeated(rnd, pricesPool, (pricesPool.size * 1.5).toInt)),
-      numeric(C, "prices", "unit_price", 1, 900, pricesPool.size, rnd),
+      drugFk("drug_id", repeated(rnd, pricesPool, (pricesPool.size * 1.5).toInt)),
+      numeric("unit_price", 1, 900, pricesPool.size, rnd),
     )
     t("drug_manufacturers",
-      RawColumn(C, "drug_manufacturers", "drug_id", "id", repeated(rnd, dmPool, (dmPool.size * 1.4).toInt)),
-      RawColumn(C, "drug_manufacturers", "manufacturer_id", "id", repeated(rnd, fkMfg, (fkMfg.size * 1.5).toInt)),
+      drugFk("drug_id", repeated(rnd, dmPool, (dmPool.size * 1.4).toInt)),
+      Col("manufacturer_id", "id", repeated(rnd, fkMfg, (fkMfg.size * 1.5).toInt))
+        .references("manufacturers", "manufacturer_id"),
     )
     t("enzyme_pathways",
-      RawColumn(C, "enzyme_pathways", "enzyme_id", "id", withDups(rnd, epPool, 0.10)),
-      RawColumn(C, "enzyme_pathways", "pathway_name", "text", repeated(rnd, pathName, pathName.size / 2)),
+      Col("enzyme_id", "id", withDups(rnd, epPool, 0.10)).references("enzymes", "enzyme_id"),
+      Col("pathway_name", "text", repeated(rnd, pathName, pathName.size / 2)),
     )
     // 2B distractor tables: each ref column shares ~half its values with one
     // FK column — above the skewed true joins in a Jaccard ranking, below
     // everything in a containment ranking, and outside the brute-force GT.
     t("event_registry",
-      RawColumn(C, "event_registry", "event_ref", "id", withDups(rnd, mixed(rnd, dcPool, 0.35, "evref"), 0.2)),
-      RawColumn(C, "event_registry", "batch_code", "id", withDups(rnd, mixed(rnd, pricesPool, 0.35, "evbatch"), 0.2)),
-      RawColumn(C, "event_registry", "case_token", "id", withDups(rnd, mixed(rnd, fkE, 0.35, "evcase"), 0.2)),
+      Col("event_ref", "id", withDups(rnd, mixed(rnd, dcPool, 0.35, "evref"), 0.2)),
+      Col("batch_code", "id", withDups(rnd, mixed(rnd, pricesPool, 0.35, "evbatch"), 0.2)),
+      Col("case_token", "id", withDups(rnd, mixed(rnd, fkE, 0.35, "evcase"), 0.2)),
     )
     t("import_log",
-      RawColumn(C, "import_log", "import_ref", "id", withDups(rnd, mixed(rnd, dosPool, 0.35, "imref"), 0.2)),
-      RawColumn(C, "import_log", "lot_code", "id", withDups(rnd, mixed(rnd, fkD, 0.35, "imlot"), 0.2)),
-      RawColumn(C, "import_log", "shipment_token", "id", withDups(rnd, mixed(rnd, fkC, 0.35, "imship"), 0.2)),
-      RawColumn(C, "import_log", "origin_token", "id", withDups(rnd, mixed(rnd, saltsPool, 0.35, "imorig"), 0.2)),
-    )
-
-    // 2D DrugBank ground truth — "manual" schema links.
-    val drugBankPkfk: Set[(ColRef, ColRef)] = Set(
-      (ColRef("drugs", "drug_id"), ColRef("drug_status", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("trials", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_interactions", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_interactions", "interacting_drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("enzyme_targets", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_targets", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_pathways", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_conditions", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_salts", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("dosages", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("prices", "drug_id")),
-      (ColRef("drugs", "drug_id"), ColRef("drug_manufacturers", "drug_id")),
-      (ColRef("enzymes", "enzyme_id"), ColRef("enzyme_targets", "enzyme_id")),
-      (ColRef("enzymes", "enzyme_id"), ColRef("enzyme_pathways", "enzyme_id")),
-      (ColRef("targets", "target_id"), ColRef("drug_targets", "target_id")),
-      (ColRef("targets", "target_id"), ColRef("target_pathways", "target_id")),
-      (ColRef("manufacturers", "manufacturer_id"), ColRef("drug_manufacturers", "manufacturer_id")),
-      (ColRef("trials", "trial_id"), ColRef("trial_outcomes", "trial_id")),
+      Col("import_ref", "id", withDups(rnd, mixed(rnd, dosPool, 0.35, "imref"), 0.2)),
+      Col("lot_code", "id", withDups(rnd, mixed(rnd, fkD, 0.35, "imlot"), 0.2)),
+      Col("shipment_token", "id", withDups(rnd, mixed(rnd, fkC, 0.35, "imship"), 0.2)),
+      Col("origin_token", "id", withDups(rnd, mixed(rnd, saltsPool, 0.35, "imorig"), 0.2)),
     )
 
     // ---------------- ChEMBL ----------------
@@ -320,158 +345,134 @@ object LakeGen {
     val fkCdocAct = sampleDistinct(rnd, cdocId, (nCdoc * 0.26).toInt)
     val fkCdocRec = dirty(rnd, sampleDistinct(rnd, fkCdocAct, (nCdoc * 0.20).toInt), 0.42, "exdoc")
 
-    def h(name: String, cols: RawColumn*): Unit = tables += LakeTable(H, name, cols.toVector)
+    // The pseudo-key chain (compound_flags, compound_audit, legacy_molecules)
+    // and the shared-id-space columns declare no FK on purpose: Table 4's
+    // false positives come from them.
+    def h(name: String, cols: Col*): Unit = tables.add(H, name, cols)
+    def molFk(values: Seq[String]): Col = Col("molregno", "id", values).references("molecule_dictionary", "molregno")
 
     h("molecule_dictionary",
-      RawColumn(H, "molecule_dictionary", "molregno", "id", molregno),
-      RawColumn(H, "molecule_dictionary", "pref_name", "text", molName),
-      cat(H, "molecule_dictionary", "molecule_type", Vector("small", "protein", "oligo"), nMol, rnd),
+      Col("molregno", "id", molregno),
+      Col("pref_name", "text", molName),
+      cat("molecule_type", Vector("small", "protein", "oligo"), nMol, rnd),
     )
     h("assays",
-      RawColumn(H, "assays", "assay_id", "id", assayId),
-      RawColumn(H, "assays", "assay_type", "categorical", repeated(rnd, Vector("binding", "functional", "adme"), nAssay)),
-      numeric(H, "assays", "confidence_score", 0, 9, nAssay, rnd),
+      Col("assay_id", "id", assayId),
+      cat("assay_type", Vector("binding", "functional", "adme"), nAssay, rnd),
+      numeric("confidence_score", 0, 9, nAssay, rnd),
     )
     h("target_dictionary",
-      RawColumn(H, "target_dictionary", "tid", "id", tid),
-      RawColumn(H, "target_dictionary", "target_type", "categorical", repeated(rnd, Vector("protein", "organism", "tissue"), nTid)),
+      Col("tid", "id", tid),
+      cat("target_type", Vector("protein", "organism", "tissue"), nTid, rnd),
     )
     h("chembl_docs",
-      RawColumn(H, "chembl_docs", "doc_id", "id", cdocId),
-      numeric(H, "chembl_docs", "year", 1990, 2022, nCdoc, rnd),
+      Col("doc_id", "id", cdocId),
+      numeric("year", 1990, 2022, nCdoc, rnd),
     )
     h("compound_properties",
-      RawColumn(H, "compound_properties", "molregno", "id", molProps),
-      numeric(H, "compound_properties", "mw_freebase", 100, 900, molProps.size, rnd),
+      molFk(molProps),
+      numeric("mw_freebase", 100, 900, molProps.size, rnd),
     )
     h("compound_structures",
-      RawColumn(H, "compound_structures", "molregno", "id", molStruct),
-      RawColumn(H, "compound_structures", "canonical_smiles", "text", molStruct.map(m => s"smiles$m")),
+      molFk(molStruct),
+      Col("canonical_smiles", "text", molStruct.map(m => s"smiles$m")),
     )
     h("biotherapeutics",
-      RawColumn(H, "biotherapeutics", "molregno", "id", molBio),
-      RawColumn(H, "biotherapeutics", "helm_notation", "text", molBio.map(m => s"helm$m")),
+      molFk(molBio),
+      Col("helm_notation", "text", molBio.map(m => s"helm$m")),
     )
     h("activities",
-      RawColumn(H, "activities", "molregno", "id", repeated(rnd, molAct, (molAct.size * 2.0).toInt)),
-      RawColumn(H, "activities", "assay_id", "id", repeated(rnd, fkAssayAct, (fkAssayAct.size * 1.8).toInt)),
-      RawColumn(H, "activities", "doc_id", "id", repeated(rnd, fkCdocAct, (fkCdocAct.size * 1.6).toInt)),
-      numeric(H, "activities", "standard_value", 1, 10000, molAct.size * 2, rnd),
+      molFk(repeated(rnd, molAct, (molAct.size * 2.0).toInt)),
+      Col("assay_id", "id", repeated(rnd, fkAssayAct, (fkAssayAct.size * 1.8).toInt)).references("assays", "assay_id"),
+      Col("doc_id", "id", repeated(rnd, fkCdocAct, (fkCdocAct.size * 1.6).toInt)).references("chembl_docs", "doc_id"),
+      numeric("standard_value", 1, 10000, molAct.size * 2, rnd),
     )
     h("drug_mechanism",
-      RawColumn(H, "drug_mechanism", "molregno", "id", molMech),
-      RawColumn(H, "drug_mechanism", "tid", "id", fkTidMech),
-      RawColumn(H, "drug_mechanism", "mechanism_of_action", "text", molMech.map(m => s"moa$m")),
+      molFk(molMech),
+      Col("tid", "id", fkTidMech).references("target_dictionary", "tid"),
+      Col("mechanism_of_action", "text", molMech.map(m => s"moa$m")),
     )
     h("formulations",
-      RawColumn(H, "formulations", "molregno", "id", molForm),
-      cat(H, "formulations", "form", Vector("tablet", "capsule", "solution"), molForm.size, rnd),
+      molFk(molForm),
+      cat("form", Vector("tablet", "capsule", "solution"), molForm.size, rnd),
     )
     h("compound_flags",
-      RawColumn(H, "compound_flags", "molregno", "id", chain2),
-      cat(H, "compound_flags", "flag", Vector("dosed", "shelved", "novel"), chain2.size, rnd),
+      Col("molregno", "id", chain2),
+      cat("flag", Vector("dosed", "shelved", "novel"), chain2.size, rnd),
     )
     h("compound_audit",
-      RawColumn(H, "compound_audit", "molregno", "id", chain3),
-      cat(H, "compound_audit", "audit_action", Vector("insert", "merge"), chain3.size, rnd),
+      Col("molregno", "id", chain3),
+      cat("audit_action", Vector("insert", "merge"), chain3.size, rnd),
     )
     h("legacy_molecules",
-      RawColumn(H, "legacy_molecules", "molregno", "id", chain4),
-      cat(H, "legacy_molecules", "legacy_source", Vector("v1", "v2"), chain4.size, rnd),
+      Col("molregno", "id", chain4),
+      cat("legacy_source", Vector("v1", "v2"), chain4.size, rnd),
     )
     h("assay_parameters",
-      RawColumn(H, "assay_parameters", "assay_id", "id", fkAssayParam),
-      RawColumn(H, "assay_parameters", "parameter_type", "categorical", repeated(rnd, Vector("dose", "time", "route"), fkAssayParam.size)),
+      Col("assay_id", "id", fkAssayParam).references("assays", "assay_id"),
+      cat("parameter_type", Vector("dose", "time", "route"), fkAssayParam.size, rnd),
     )
     h("target_components",
-      RawColumn(H, "target_components", "tid", "id", fkTidComp),
-      RawColumn(H, "target_components", "component_type", "categorical", repeated(rnd, Vector("protein", "dna"), fkTidComp.size)),
+      Col("tid", "id", fkTidComp).references("target_dictionary", "tid"),
+      cat("component_type", Vector("protein", "dna"), fkTidComp.size, rnd),
     )
     h("compound_records",
-      RawColumn(H, "compound_records", "record_id", "id", recIds),
-      RawColumn(H, "compound_records", "doc_id", "id", repeated(rnd, fkCdocRec, (fkCdocRec.size * 1.5).toInt)),
+      Col("record_id", "id", recIds),
+      Col("doc_id", "id", repeated(rnd, fkCdocRec, (fkCdocRec.size * 1.5).toInt)).references("chembl_docs", "doc_id"),
     )
     h("curation_log",
-      RawColumn(H, "curation_log", "mol_ref", "id", molRefs),
-      cat(H, "curation_log", "status", Vector("approved", "pending", "flagged"), molRefs.size, rnd),
+      Col("mol_ref", "id", molRefs),
+      cat("status", Vector("approved", "pending", "flagged"), molRefs.size, rnd),
     )
     h("audit_trail",
-      RawColumn(H, "audit_trail", "compound_key", "id", compKeys),
-      cat(H, "audit_trail", "operation", Vector("insert", "update"), compKeys.size, rnd),
+      Col("compound_key", "id", compKeys),
+      cat("operation", Vector("insert", "update"), compKeys.size, rnd),
     )
     h("batch_registry",
-      RawColumn(H, "batch_registry", "batch_no", "id", batchNos),
-      cat(H, "batch_registry", "site", Vector("siteA", "siteB", "siteC"), batchNos.size, rnd),
+      Col("batch_no", "id", batchNos),
+      cat("site", Vector("siteA", "siteB", "siteC"), batchNos.size, rnd),
     )
     h("entry_index",
-      RawColumn(H, "entry_index", "entry_key", "id", entryKeys),
-      cat(H, "entry_index", "entry_kind", Vector("primary", "secondary"), entryKeys.size, rnd),
+      Col("entry_key", "id", entryKeys),
+      cat("entry_kind", Vector("primary", "secondary"), entryKeys.size, rnd),
     )
     h("row_registry",
-      RawColumn(H, "row_registry", "row_guid", "id", rowGuids),
-      cat(H, "row_registry", "origin", Vector("etl", "manual"), rowGuids.size, rnd),
-    )
-
-    val chemblPkfk: Set[(ColRef, ColRef)] = Set(
-      (ColRef("molecule_dictionary", "molregno"), ColRef("compound_properties", "molregno")),
-      (ColRef("molecule_dictionary", "molregno"), ColRef("compound_structures", "molregno")),
-      (ColRef("molecule_dictionary", "molregno"), ColRef("biotherapeutics", "molregno")),
-      (ColRef("molecule_dictionary", "molregno"), ColRef("activities", "molregno")),
-      (ColRef("molecule_dictionary", "molregno"), ColRef("drug_mechanism", "molregno")),
-      (ColRef("molecule_dictionary", "molregno"), ColRef("formulations", "molregno")),
-      (ColRef("assays", "assay_id"), ColRef("activities", "assay_id")),
-      (ColRef("assays", "assay_id"), ColRef("assay_parameters", "assay_id")),
-      (ColRef("target_dictionary", "tid"), ColRef("target_components", "tid")),
-      (ColRef("target_dictionary", "tid"), ColRef("drug_mechanism", "tid")),
-      (ColRef("chembl_docs", "doc_id"), ColRef("activities", "doc_id")),
-      (ColRef("chembl_docs", "doc_id"), ColRef("compound_records", "doc_id")),
+      Col("row_guid", "id", rowGuids),
+      cat("origin", Vector("etl", "manual"), rowGuids.size, rnd),
     )
 
     // ---------------- ChEBI (numeric keys) ----------------
     val B = "ChEBI"
     val nComp = n(240, scale)
-    def b(name: String, cols: RawColumn*): Unit = tables += LakeTable(B, name, cols.toVector)
+    def b(name: String, cols: Col*): Unit = tables.add(B, name, cols)
+    def compoundFk(name: String, values: Seq[String]): Col =
+      Col(name, "numeric", values).references("compounds", "id")
     def rangeVals(lo: Int, hi: Int): Vector[String] = (lo to hi).map(_.toString).toVector
 
     b("compounds",
-      RawColumn(B, "compounds", "id", "numeric", rangeVals(1, nComp)),
-      RawColumn(B, "compounds", "chebi_name", "text", dom("chebiterm", nComp)),
+      Col("id", "numeric", rangeVals(1, nComp)),
+      Col("chebi_name", "text", dom("chebiterm", nComp)),
     )
     b("names",
-      RawColumn(B, "names", "compound_id", "numeric",
-        withDups(rnd, rangeVals(1, (nComp * 0.62).toInt), 0.3)),
-      cat(B, "names", "name_type", Vector("iupac", "brand", "inn"), nComp / 2, rnd),
+      compoundFk("compound_id", withDups(rnd, rangeVals(1, (nComp * 0.62).toInt), 0.3)),
+      cat("name_type", Vector("iupac", "brand", "inn"), nComp / 2, rnd),
     )
     b("structures",
-      RawColumn(B, "structures", "compound_id", "numeric",
-        withDups(rnd, rangeVals(1, (nComp * 0.41).toInt), 0.2)),
-      RawColumn(B, "structures", "structure_format", "categorical",
-        repeated(rnd, Vector("mol", "sdf"), nComp / 3)),
+      compoundFk("compound_id", withDups(rnd, rangeVals(1, (nComp * 0.41).toInt), 0.2)),
+      cat("structure_format", Vector("mol", "sdf"), nComp / 3, rnd),
     )
     b("relations",
-      RawColumn(B, "relations", "init_id", "numeric",
-        rangeVals((nComp * 0.17).toInt, (nComp * 0.92).toInt)),
-      RawColumn(B, "relations", "final_id", "numeric",
-        withDups(rnd, rangeVals((nComp * 0.56).toInt, nComp), 0.4)),
-      cat(B, "relations", "rel_type", Vector("isa", "partof", "role"), nComp / 2, rnd),
+      compoundFk("init_id", rangeVals((nComp * 0.17).toInt, (nComp * 0.92).toInt)),
+      compoundFk("final_id", withDups(rnd, rangeVals((nComp * 0.56).toInt, nComp), 0.4)),
+      cat("rel_type", Vector("isa", "partof", "role"), nComp / 2, rnd),
     )
     b("references",
-      RawColumn(B, "references", "compound_id", "numeric", withDups(rnd, rangeVals(1, nComp), 0.5)),
-      RawColumn(B, "references", "source", "categorical", repeated(rnd, Vector("pubmed", "patent"), nComp / 2)),
+      compoundFk("compound_id", withDups(rnd, rangeVals(1, nComp), 0.5)),
+      cat("source", Vector("pubmed", "patent"), nComp / 2, rnd),
     )
     b("accessions",
-      RawColumn(B, "accessions", "compound_id", "numeric",
-        withDups(rnd, rangeVals((nComp * 0.25).toInt, (nComp * 0.55).toInt), 0.3)),
-      cat(B, "accessions", "db_source", Vector("kegg", "hmdb", "cas"), nComp / 3, rnd),
-    )
-
-    val chebiPkfk: Set[(ColRef, ColRef)] = Set(
-      (ColRef("compounds", "id"), ColRef("names", "compound_id")),
-      (ColRef("compounds", "id"), ColRef("structures", "compound_id")),
-      (ColRef("compounds", "id"), ColRef("relations", "init_id")),
-      (ColRef("compounds", "id"), ColRef("relations", "final_id")),
-      (ColRef("compounds", "id"), ColRef("references", "compound_id")),
-      (ColRef("compounds", "id"), ColRef("accessions", "compound_id")),
+      compoundFk("compound_id", withDups(rnd, rangeVals((nComp * 0.25).toInt, (nComp * 0.55).toInt), 0.3)),
+      cat("db_source", Vector("kegg", "hmdb", "cas"), nComp / 3, rnd),
     )
 
     // ---------------- PubMed documents (1B: GT "from the database") ----------------
@@ -493,7 +494,7 @@ object LakeGen {
       val id = s"pmid$i"
       if (rnd.nextDouble() < 0.62) {
         val nCols = 2 + rnd.nextInt(3)
-        val picked = sampleDistinct(rnd, citable.indices.toVector.map(_.toString), nCols).map(s => citable(s.toInt))
+        val picked = sampleDistinct(rnd, citable, nCols)
         val mentions = picked.flatMap { case (_, pool) => sampleDistinct(rnd, pool, 2 + rnd.nextInt(2)) }
         val noise = Vector.fill(5)(fillers(rnd.nextInt(fillers.size)))
         pubmedDocs += RawDoc(P, id, s"Study of ${mentions.head}",
@@ -508,9 +509,8 @@ object LakeGen {
 
     // ---------------- DrugBank-Synthetic (3B: projections/selections) ----------------
     val S = "DrugBank-Synthetic"
-    val synBases = tables.filter(t => t.collection == C &&
-      Set("drugs", "enzymes", "targets", "trials", "drug_interactions", "enzyme_targets",
-        "manufacturers", "dosages").contains(t.name)).toVector
+    val synBases = tables.in(C).filter(t => Set("drugs", "enzymes", "targets", "trials", "drug_interactions",
+      "enzyme_targets", "manufacturers", "dosages").contains(t.name))
     val synRnd = new Random(seed + 7)
     val unionFamilies = mutable.Map.empty[String, mutable.ArrayBuffer[String]]
     val slices = Vector((0.0, 0.6), (0.3, 0.9), (0.15, 0.75), (0.4, 1.0))
@@ -525,26 +525,22 @@ object LakeGen {
         // two renames can draw the same name; a column's ref must stay unique
         val renamed = if (names.add(drawn)) drawn else s"${drawn}_${names.size}"
         names += renamed
-        RawColumn(S, tname, renamed, c.dtype, slice)
+        Col(renamed, c.dtype, slice)
       }
-      tables += LakeTable(S, tname, cols)
+      tables.add(S, tname, cols)
       unionFamilies.getOrElseUpdate(base.name, mutable.ArrayBuffer.empty) += tname
     }
 
-    // ---------------- benchmarks ----------------
-    val bench2B = JoinBench("2B", "DrugBank",
-      bruteForceJoinGt(tables.filter(_.collection == C).flatMap(_.columns).toSeq))
-
     Lake(
       name = "Pharma",
-      tables = tables.toVector,
+      tables = tables.all.toVector,
       docs = pubmedDocs.toVector,
-      docBenches = Seq(DocBench("1B", docColGt1B.toMap)),
-      joinBenches = Seq(bench2B),
+      docBenches = Seq(DocBench("1B", s"$P + $C", docColGt1B.toMap)),
+      joinBenches = Seq(tables.bruteForceBench("2B", C)),
       pkfkBenches = Seq(
-        PkfkBench("2D-DrugBank", C, drugBankPkfk),
-        PkfkBench("2D-ChEMBL", H, chemblPkfk),
-        PkfkBench("2D-ChEBI", B, chebiPkfk),
+        tables.pkfkBench("2D-DrugBank", C),
+        tables.pkfkBench("2D-ChEMBL", H),
+        tables.pkfkBench("2D-ChEBI", B),
       ),
       unionBenches = Seq(UnionBench("3B", S, symmetric(unionFamilies.values))),
     )
@@ -562,7 +558,7 @@ object LakeGen {
       "fire", "police", "library", "museum", "election", "budget", "permit",
       "license", "waste", "air", "rail")
     val nProto = math.min(themes.size, n(24, scale))
-    val tables = mutable.ArrayBuffer.empty[LakeTable]
+    val tables = new Tables
     val unionGroups = mutable.ArrayBuffer.empty[Vector[String]]
 
     // Global join domains for the 2A annotated ground truth.
@@ -572,7 +568,6 @@ object LakeGen {
       ("postdistrict", dom("postdist", 260)),
       ("wardcode", dom("wardcode", 220)),
     )
-    val join2A = mutable.ArrayBuffer.empty[(ColRef, ColRef)]
 
     // Plan 2A pairs: H = high containment (found by containment methods),
     // M = moderate jaccard (found by all), S = semantic-only (disjoint slices
@@ -580,7 +575,6 @@ object LakeGen {
     val pairPlans: Vector[String] =
       Vector.fill(n(12, scale))("H") ++ Vector.fill(n(12, scale))("M") ++ Vector.fill(n(20, scale))("S")
 
-    var planIdx = 0
     val protoCols = 7
     for (p <- 0 until nProto) {
       val theme = themes(p)
@@ -590,12 +584,12 @@ object LakeGen {
       unionGroups += variantNames
       for (v <- 0 until nVariants) {
         val tname = variantNames(v)
-        val cols = mutable.ArrayBuffer.empty[RawColumn]
+        val cols = mutable.ArrayBuffer.empty[Col]
         for (j <- 0 until protoCols) {
           val name0 = s"${theme}_attr$j"
           val name = if (j == protoCols - 1 && rnd.nextDouble() < 0.3) s"${theme}_alt$j" else name0
           if (j >= protoCols - 1) { // ~18% numeric columns
-            cols += numeric(G, tname, name, 100 * p, 100 * p + 400 + rnd.nextInt(200),
+            cols += numeric(name, 100 * p, 100 * p + 400 + rnd.nextInt(200),
               120 + rnd.nextInt(80), rnd)
           } else {
             // Variants select *slices* of the domain (offset per variant):
@@ -605,22 +599,20 @@ object LakeGen {
             val start = if (nVariants <= 1) 0.0 else (v.toDouble / (nVariants - 1)) * (1.0 - width)
             val d = domains(j)
             val slice = d.slice((d.size * start).toInt, (d.size * (start + width)).toInt)
-            cols += RawColumn(G, tname, name, if (j == 0) "id" else "text", slice)
+            cols += Col(name, if (j == 0) "id" else "text", slice)
           }
         }
-        tables += LakeTable(G, tname, cols.toVector)
+        tables.add(G, tname, cols)
       }
     }
 
     // Inject the 2A annotated join columns into randomly chosen tables.
-    val allTables = tables.indices.toVector
-    for (plan <- pairPlans) {
+    val allTables = tables.all.indices.toVector
+    val join2A = pairPlans.zipWithIndex.map { case (plan, planIdx) =>
       val ti = allTables(rnd.nextInt(allTables.size))
       var tj = allTables(rnd.nextInt(allTables.size))
       while (tj == ti) tj = allTables(rnd.nextInt(allTables.size))
       val (dname, dvals) = joinDomains(planIdx % joinDomains.size)
-      val colName1 = s"${dname}_ref${planIdx}"
-      val colName2 = s"${dname}_key${planIdx}"
       val (vals1, vals2) = plan match {
         case "H" =>
           val big = sampleDistinct(rnd, dvals.take(200), 150)
@@ -633,11 +625,8 @@ object LakeGen {
           (sampleDistinct(rnd, dvals.take(dvals.size / 2), 90),
             sampleDistinct(rnd, dvals.drop(dvals.size / 2), 90))
       }
-      val t1 = tables(ti); val t2 = tables(tj)
-      tables(ti) = t1.copy(columns = t1.columns :+ RawColumn(G, t1.name, colName1, "id", vals1))
-      tables(tj) = t2.copy(columns = t2.columns :+ RawColumn(G, t2.name, colName2, "id", vals2))
-      join2A += ((ColRef(t1.name, colName1), ColRef(t2.name, colName2)))
-      planIdx += 1
+      Seq(tables.addColumn(ti, Col(s"${dname}_ref$planIdx", "id", vals1)),
+        tables.addColumn(tj, Col(s"${dname}_key$planIdx", "id", vals2)))
     }
 
     // ---------------- synthetic text (1A) ----------------
@@ -647,7 +636,7 @@ object LakeGen {
     val docs = mutable.ArrayBuffer.empty[RawDoc]
     val docColGt = mutable.Map.empty[String, Set[ColRef]]
     val textCols: Vector[RawColumn] =
-      tables.flatMap(_.columns).filter(c => (c.dtype == "text" || c.dtype == "id") && c.values.size >= 20).toVector
+      tables.all.flatMap(_.columns).filter(c => (c.dtype == "text" || c.dtype == "id") && c.values.size >= 20).toVector
     val govWords = Vector("report", "statistic", "council", "authority", "region",
       "quarter", "survey", "record", "summary", "registry")
     for (i <- 0 until nDocs) {
@@ -668,11 +657,11 @@ object LakeGen {
 
     Lake(
       name = "UK-Open",
-      tables = tables.toVector,
+      tables = tables.all.toVector,
       docs = docs.toVector,
-      docBenches = Seq(DocBench("1A", docColGt.toMap)),
-      joinBenches = Seq(JoinBench("2A", "Govt. data", symmetric(join2A.map { case (a, b) => Seq(a, b) }))),
-      unionBenches = Seq(UnionBench("3A", "Govt. data", symmetric(unionGroups))),
+      docBenches = Seq(DocBench("1A", s"$T + $G", docColGt.toMap)),
+      joinBenches = Seq(JoinBench("2A", G, symmetric(join2A))),
+      unionBenches = Seq(UnionBench("3A", G, symmetric(unionGroups))),
     )
   }
 
@@ -682,7 +671,7 @@ object LakeGen {
 
   def mlOpen(scale: Double = 1.0, seed: Long = 303): Lake = {
     val rnd = new Random(seed)
-    val tables = mutable.ArrayBuffer.empty[LakeTable]
+    val tables = new Tables
 
     /** Builds one sub-collection of joinable tables.
       *
@@ -739,15 +728,13 @@ object LakeGen {
         fillerCols: Int, numericCols: Int, rnd: Random): Unit = {
       for ((keys, v) <- keyCols.zipWithIndex) {
         val tname = s"${tag}_t${g}_$v"
-        val cols = mutable.ArrayBuffer(
-          RawColumn(cname, tname, s"${tag}key$g", "id", keys))
+        val cols = mutable.ArrayBuffer(Col(s"${tag}key$g", "id", keys))
         for (j <- 0 until fillerCols)
-          cols += RawColumn(cname, tname, s"attr${g}_${v}_$j", "text",
-            dom(s"$tag${g}v${v}fill$j", 60 + rnd.nextInt(60)))
+          cols += Col(s"attr${g}_${v}_$j", "text", dom(s"$tag${g}v${v}fill$j", 60 + rnd.nextInt(60)))
         for (j <- 0 until numericCols)
-          cols += numeric(cname, tname, s"metric${g}_${v}_$j",
+          cols += numeric(s"metric${g}_${v}_$j",
             (g * 61 + v * 13 + j) * 1000, (g * 61 + v * 13 + j) * 1000 + 500, 80, rnd)
-        tables += LakeTable(cname, tname, cols.toVector)
+        tables.add(cname, tname, cols)
       }
     }
 
@@ -758,15 +745,11 @@ object LakeGen {
     subCollection("LS", "mlls", nGroups = n(15, scale), skewFrac = 0.85, distractFrac = 0.8,
       fillerCols = 2, numericCols = 8, bigCard = 1400, rnd = rnd)
 
-    def joinBenchFor(cname: String): JoinBench =
-      JoinBench(s"2C-$cname", cname,
-        bruteForceJoinGt(tables.filter(_.collection == cname).flatMap(_.columns).toSeq))
-
     // ---------------- review documents (1C: "manual" GT) ----------------
     val R = "Reviews"
     val nDocs = n(240, scale)
     val docRnd = new Random(seed + 29)
-    val msTextCols = tables.filter(_.collection == "MS").flatMap(_.columns)
+    val msTextCols = tables.in("MS").flatMap(_.columns)
       .filter(c => c.dtype == "text" || c.dtype == "id").toVector
     val reviewWords = Vector("movie", "plot", "actor", "scene", "rating", "sequel",
       "director", "script", "character", "soundtrack")
@@ -791,10 +774,10 @@ object LakeGen {
 
     Lake(
       name = "ML-Open",
-      tables = tables.toVector,
+      tables = tables.all.toVector,
       docs = docs.toVector,
-      docBenches = Seq(DocBench("1C", docColGt.toMap)),
-      joinBenches = Seq(joinBenchFor("SS"), joinBenchFor("MS"), joinBenchFor("LS")),
+      docBenches = Seq(DocBench("1C", s"$R + MS", docColGt.toMap)),
+      joinBenches = Seq("SS", "MS", "LS").map(c => tables.bruteForceBench(s"2C-$c", c)),
     )
   }
 }

@@ -16,10 +16,38 @@ class LakeGenSpec extends AnyFunSuite {
       .getOrElse(Set.empty)
 
   test("generators are deterministic in (scale, seed)") {
-    val a = LakeGen.pharma(scale); val b = LakeGen.pharma(scale)
-    assert(a.tables.map(_.name) === b.tables.map(_.name))
-    assert(a.rawColumns.map(_.values) === b.rawColumns.map(_.values))
-    assert(a.docs.map(_.text) === b.docs.map(_.text))
+    // whole-lake `==`, ground truths included; `same` keeps a failure from printing both lakes
+    def same(a: Lake, b: Lake): Boolean = a == b
+    assert(same(LakeGen.pharma(scale), pharma))
+    assert(same(LakeGen.ukOpen(scale), ukOpen))
+    assert(same(LakeGen.mlOpen(scale), mlOpen))
+    assert(!same(LakeGen.pharma(scale, seed = 1), pharma))
+    assert(!same(LakeGen.ukOpen(scale, seed = 1), ukOpen))
+    assert(!same(LakeGen.mlOpen(scale, seed = 1), mlOpen))
+  }
+
+  test("every ground truth refers only to documents, tables and columns of its lake") {
+    val seeded = for (seed <- 1L to 3L; gen <- Seq(LakeGen.pharma _, LakeGen.ukOpen _, LakeGen.mlOpen _))
+      yield (s"seed $seed", gen(scale, seed))
+    for ((seed, lake) <- Seq(pharma, ukOpen, mlOpen).map(("default seed", _)) ++ seeded) {
+      val cols = lake.rawColumns.map(c => ColRef(c.table, c.column) -> c).toMap
+      val collectionOf = lake.tables.map(t => t.name -> t.collection).toMap
+      val docIds = lake.docs.map(_.id).toSet
+      def inCollection(ref: ColRef, coll: String) = cols.get(ref).exists(_.collection == coll)
+      for (b <- lake.docBenches; (doc, refs) <- b.docColumns)
+        assert(docIds(doc) && refs.nonEmpty && refs.forall(cols.contains), s"${lake.name} $seed ${b.id} $doc $refs")
+      for (b <- lake.joinBenches; (q, answers) <- b.queries; a <- answers)
+        assert(inCollection(q, b.workload) && inCollection(a, b.workload) && q.table != a.table,
+          s"${lake.name} $seed ${b.id} $q $a")
+      for (b <- lake.pkfkBenches) {
+        assert(b.gt.nonEmpty, s"${lake.name} $seed ${b.id}")
+        for ((pk, fk) <- b.gt)
+          assert(Seq(pk, fk).forall(r => inCollection(r, b.database) && Set("id", "numeric")(cols(r).dtype)) &&
+            pk.table != fk.table, s"${lake.name} $seed ${b.id} $pk $fk")
+      }
+      for (b <- lake.unionBenches; (q, answers) <- b.queries; t <- answers + q)
+        assert(collectionOf.get(t).contains(b.workload), s"${lake.name} $seed ${b.id} $q $t")
+    }
   }
 
   test("pharma contains the five collections of Table 1") {
